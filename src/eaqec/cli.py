@@ -239,10 +239,19 @@ def _parse_m_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+# Most grid points `bounds` builds; larger grids are refused before any work.
+_MAX_GRID_POINTS = 10**6
+
+
 def cmd_bounds(args, out: _Out) -> int:
     if args.delta_step <= 0:
         raise DomainError("delta step must be positive")
     top = min(args.delta_max, 0.75)
+    if top / args.delta_step >= _MAX_GRID_POINTS:
+        raise DomainError(
+            f"delta step {args.delta_step:g} gives {top / args.delta_step + 1:.3g} "
+            f"grid points, above the cap {_MAX_GRID_POINTS}"
+        )
     grid = []
     i = 0
     while i * args.delta_step <= top + 1e-15:

@@ -10,12 +10,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
 
 from .errors import BudgetInvalid, DistanceUnknown, FieldMismatch
 from .gf import FieldSpec
 from .matrix import MatrixGF
 
 DEFAULT_BUDGET = 1 << 24
+
+# Entries (words x length) in min_distance's table of low-row combinations.
+_SPAN_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -176,8 +182,17 @@ def hermitian_dual(code: ClassicalCode, q0: int) -> ClassicalCode:
 def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
     """Brute-force minimum distance by message-space enumeration.
 
-    Enumerates all q^k messages when that fits the budget and returns an exact
-    distance; otherwise returns Distance.unknown().  Deterministic.
+    When all q^k messages fit the budget, returns the exact distance;
+    otherwise returns Distance.unknown().  Deterministic.
+
+    Only the messages whose first nonzero coordinate is 1 are visited: every
+    nonzero codeword is a nonzero multiple of exactly one of their words, of
+    the same weight.  Those with lead row i are G[i] plus each combination of
+    the rows after it.  The combinations of the last t rows are one table,
+    ordered so that its first q^r entries span the last r rows, with at most
+    _SPAN_ENTRIES entries; the rows between the lead row and the table are
+    walked one coefficient tuple at a time, each adding one vector to the
+    whole table.  Memory stays at a few tables, whatever the budget.
     """
     if not isinstance(budget, int) or budget < 1:
         raise BudgetInvalid(f"budget must be a positive integer, got {budget!r}")
@@ -185,13 +200,28 @@ def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
         raise ValueError("the zero code has no nonzero codeword")
     if code.spec.q ** code.k > budget:
         return Distance.unknown()
-    best = code.n + 1
-    for word in code.codewords():
-        w = sum(1 for v in word if v)
-        if 0 < w < best:
-            best = w
+    spec, n, k, q = code.spec, code.n, code.k, code.spec.q
+    G = code.G.array()
+    t = 0
+    while t < k - 1 and q ** (t + 1) * n <= _SPAN_ENTRIES:
+        t += 1
+    span = np.zeros((1, n), dtype=np.int64)
+    scalars = np.arange(q, dtype=np.int64)[:, None]
+    for row in G[k - t:][::-1]:
+        multiples = spec.vmul(scalars, row[None, :])
+        span = spec.vadd(multiples[:, None, :], span[None, :, :]).reshape(-1, n)
+    best = n + 1
+    for lead in range(k):
+        table = span[: q ** min(k - 1 - lead, t)]
+        head = G[lead + 1 : k - t]
+        for coeffs in product(range(q), repeat=len(head)):
+            v = G[lead]
+            for c, row in zip(coeffs, head):
+                if c:
+                    v = spec.vadd(v, spec.vmul(c, row))
+            best = min(best, int(np.count_nonzero(spec.vadd(table, v), axis=1).min()))
             if best == 1:
-                break
+                return Distance.exact(1)
     return Distance.exact(best)
 
 

@@ -62,8 +62,9 @@ class Expurgated:
 class EaqeccParams:
     """[[n, k, d; c]]_q.  provenance None marks a literal parameter tuple.
 
-    Literal tuples may carry suspicious values (e.g. negative net rate k - c);
-    constructed codes are validated: 0 <= c <= n - k always holds for them.
+    Literal tuples may carry suspicious values (e.g. negative net rate k - c)
+    but never k > n; constructed codes are validated: 0 <= c <= n - k always
+    holds for them.
     """
 
     q: int
@@ -80,6 +81,8 @@ class EaqeccParams:
             raise ValueError(f"length must be >= 1, got {self.n}")
         if self.k < 0:
             raise ValueError(f"dimension must be >= 0, got {self.k}")
+        if self.k > self.n:
+            raise ValueError(f"dimension {self.k} exceeds the length {self.n}")
         if self.c < 0:
             raise ValueError(f"entanglement count must be >= 0, got {self.c}")
         if not self.d.is_known:

@@ -102,7 +102,10 @@ def nt_w_bruteforce(n1: int, n2: int) -> np.ndarray:
     """Exhaustive (t, w) table over all 4^(n1*n2) quaternary vectors.
 
     Entry [t, w] counts vectors of weight w with exactly t nonzero blocks;
-    must match psi_t coefficients exactly.
+    must match psi_t coefficients exactly.  Each vector is its index in
+    [0, 4^(n1*n2)), 2 bits per coordinate and n1 coordinates per block;
+    folding each pair onto its low bit marks the nonzero coordinates, so w is
+    a popcount and a block is nonzero when its mask meets the marks.
     """
     if n1 < 1 or n2 < 1:
         raise DomainError("need n1 >= 1 and n2 >= 1")
@@ -110,17 +113,19 @@ def nt_w_bruteforce(n1: int, n2: int) -> np.ndarray:
     total = 4**ne
     if total > _MAX_ENSEMBLE:
         raise TooLarge(f"4^{ne} vectors exceed the enumeration cap")
+    low_bits = np.uint32(0x55555555)
+    block = (1 << 2 * n1) - 1
+    masks = [low_bits & np.uint32(block << 2 * n1 * j) for j in range(n2)]
     table = np.zeros((n2 + 1) * (ne + 1), dtype=np.int64)
     chunk = 1 << 20
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = np.empty((idx.size, ne), dtype=np.int8)
-        for j in range(ne):
-            digits[:, j] = (idx >> (2 * j)) & 3
-        mask = digits != 0
-        w = mask.sum(axis=1).astype(np.int64)
-        t = mask.reshape(-1, n2, n1).any(axis=2).sum(axis=1).astype(np.int64)
-        table += np.bincount(t * (ne + 1) + w, minlength=table.size)
+        x = np.arange(start, min(start + chunk, total), dtype=np.uint32)
+        marks = (x | (x >> 1)) & low_bits
+        t = np.zeros(x.size, dtype=np.uint8)
+        for mask in masks:
+            t += (marks & mask) != 0
+        key = t.astype(np.intp) * (ne + 1) + np.bitwise_count(marks)
+        table += np.bincount(key, minlength=table.size)
     return table.reshape(n2 + 1, ne + 1)
 
 

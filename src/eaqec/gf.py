@@ -536,35 +536,9 @@ class FieldElement:
         return f"{self.value}:{self.spec!r}"
 
 
-def field_new(p: int, m: int = 1, modulus=None) -> FieldSpec:
-    """Construct GF(p^m), validating p, m, and the modulus."""
-    return FieldSpec(p, m, modulus)
-
-
 def field_of_order(q: int, modulus=None) -> FieldSpec:
     """Construct GF(q) from the field size, factoring q = p^m."""
     pm = prime_power(q)
     if pm is None:
         raise NotPrime(f"{q} is not a prime power")
     return FieldSpec(pm[0], pm[1], modulus)
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a - b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return FieldElement(a.spec, a.spec.inv(a.value))
-
-
-def frobenius_q(a: FieldElement, q0: int) -> FieldElement:
-    """The conjugation x -> x^q0 on GF(q0^2)."""
-    return FieldElement(a.spec, a.spec.frobenius(a.value, q0))

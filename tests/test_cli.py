@@ -1,6 +1,7 @@
 """End-to-end CLI runs, in process via main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -114,6 +115,14 @@ class TestConstructions:
         code, lines, _ = run(capsys, ["css", "--c1", ham, "--c2", ham, "--quiet"])
         assert code == 0
         assert lines[0].startswith("[[7,1,>=3;0]]_2 net=1 hbar_e=2 class=EAQAMDS")
+
+    def test_concat_rejects_dimension_above_length(self, capsys):
+        code, lines, err = run(
+            capsys, ["concat", "--inner", "3,5,1,0,2", "--outer", "2,1,1,0,32", "--quiet"]
+        )
+        assert code == 2
+        assert lines == []
+        assert err.startswith("error: ParseError") and "exceeds the length" in err
 
     def test_css_field_mismatch(self, capsys, tmp_path):
         rep = write(tmp_path, "rep.txt", REP2)
@@ -320,6 +329,15 @@ class TestBounds:
                                     "--delta-step", "0"])
         assert code == 3
         assert err.startswith("error: DomainError")
+
+    def test_grid_cap(self, capsys):
+        # 1e-9 would mean 750M points; refused before the grid is built
+        start = time.perf_counter()
+        code, lines, err = run(capsys, ["bounds", "--family", "C5", "--m", "4",
+                                        "--delta-step", "1e-9", "--quiet"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and lines == []
+        assert err.startswith("error: DomainError") and "cap 1000000" in err
 
     def test_extra_columns(self, capsys):
         code, lines, _ = run(

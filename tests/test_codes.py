@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from eaqec import codes
 from eaqec.codes import (
     DEFAULT_BUDGET,
     ClassicalCode,
@@ -16,7 +17,7 @@ from eaqec.codes import (
     singleton_defect,
 )
 from eaqec.errors import BudgetInvalid, DistanceUnknown, FieldMismatch
-from eaqec.gf import FieldSpec
+from eaqec.gf import _TABLE_CAP, FieldSpec
 from eaqec.matrix import MatrixGF, rowspace_intersection_dim
 
 GF2 = FieldSpec(2, 1)
@@ -38,6 +39,24 @@ def hamming():
 
 def span(code):
     return set(code.codewords())
+
+
+def weight(word):
+    return sum(1 for v in word if v)
+
+
+def oracle_distance(code):
+    """Least nonzero weight over every codeword, by codewords()."""
+    return min(weight(w) for w in code.codewords() if any(w))
+
+
+def monomial_image(code, rng):
+    """The code under a random column permutation and nonzero column scaling."""
+    spec, n = code.spec, code.n
+    perm = rng.sample(range(n), n)
+    scale = [rng.randrange(1, spec.q) for _ in range(n)]
+    rows = [[spec.mul(row[perm[j]], scale[j]) for j in range(n)] for row in code.G.to_lists()]
+    return ClassicalCode.from_generator(MatrixGF(spec, rows))
 
 
 class TestDistance:
@@ -214,6 +233,78 @@ class TestMinDistance:
 
     def test_default_budget(self):
         assert DEFAULT_BUDGET == 1 << 24
+
+    @pytest.mark.parametrize("spec", [GF9, GF16], ids=repr)
+    def test_oracle_extension_fields(self, spec):
+        rng = random.Random(spec.q)
+        for _ in range(8):
+            n = rng.randrange(3, 8)
+            k = rng.randrange(1, 4)
+            code = random_code(spec, n, min(k, n - 1), rng)
+            assert min_distance(code) == Distance.exact(oracle_distance(code))
+
+    def test_oracle_above_table_cap(self):
+        # GF(23^2): vadd runs on base-p digits and vmul on exp/log tables
+        spec = FieldSpec(23, 2, modulus=(1, 0, 1))
+        assert spec.q > _TABLE_CAP
+        rng = random.Random(529)
+        for n, k in ((5, 1), (4, 2)):
+            code = random_code(spec, n, k, rng)
+            assert min_distance(code) == Distance.exact(oracle_distance(code))
+
+    @pytest.mark.parametrize("entries", [codes._SPAN_ENTRIES, 7], ids=["table", "rows"])
+    def test_minimum_needs_coefficients_other_than_one(self, monkeypatch, entries):
+        # over GF(5), w0 = r0 + 2 r1 + 3 r2 has weight 2 and every word with
+        # message coefficients in {0, 1} is heavier; a monomial map hides it.
+        # Found through the table of low rows, or (7 entries) row by row.
+        monkeypatch.setattr(codes, "_SPAN_ENTRIES", entries)
+        spec = FieldSpec(5, 1)
+        rng = random.Random(5)
+        n = 7
+        w0 = [1, 4, 0, 0, 0, 0, 0]
+        while True:
+            r1, r2 = ([rng.randrange(1, 5) for _ in range(n)] for _ in range(2))
+            r0 = [(a - 2 * b - 3 * c) % 5 for a, b, c in zip(w0, r1, r2)]
+            g = MatrixGF(spec, [r0, r1, r2])
+            if g.rank() < 3:
+                continue
+            code = monomial_image(ClassicalCode.from_generator(g), rng)
+            d = oracle_distance(code)
+            binary = min(weight(word) for m, word in zip(product(range(5), repeat=3),
+                                                         code.codewords())
+                         if any(m) and set(m) <= {0, 1})
+            if d == 2 and binary > 2:
+                break
+        assert min_distance(code) == Distance.exact(2)
+
+    def test_table_of_low_rows_exceeded(self):
+        # [18,17,2] even-weight code: 2^17 messages do not fit one table of
+        # low-row combinations, so the lead rows walk the rows above it
+        rows = [[1 if j in (i, 17) else 0 for j in range(18)] for i in range(17)]
+        code = monomial_image(ClassicalCode.from_generator(MatrixGF(GF2, rows)),
+                              random.Random(18))
+        assert 2 ** code.k > 1 << 16
+        assert oracle_distance(code) == 2
+        assert min_distance(code) == Distance.exact(2)
+
+    @pytest.mark.parametrize("entries", [1, 12, 100])
+    def test_oracle_with_small_tables(self, monkeypatch, entries):
+        # tables of a few words force many steps of the loop over higher rows
+        monkeypatch.setattr(codes, "_SPAN_ENTRIES", entries)
+        rng = random.Random(entries)
+        for spec in (GF2, GF3, GF4, GF9, GF16):
+            for _ in range(4):
+                n = rng.randrange(3, 9)
+                k = rng.choice([k for k in range(1, n) if spec.q ** k <= 1 << 12])
+                code = monomial_image(random_code(spec, n, k, rng), rng)
+                assert min_distance(code) == Distance.exact(oracle_distance(code))
+
+    def test_does_not_walk_codewords(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("min_distance must not use codewords()")
+        code = hamming()
+        monkeypatch.setattr(ClassicalCode, "codewords", forbidden)
+        assert min_distance(code) == Distance.exact(3)
 
 
 class TestDuals:

@@ -78,6 +78,12 @@ class TestParams:
         with pytest.raises(DistanceUnknown):
             EaqeccParams(q=2, n=3, k=1, d=Distance.unknown(), c=0)
 
+    def test_dimension_above_length_rejected(self):
+        with pytest.raises(ValueError, match="exceeds the length"):
+            EaqeccParams(q=2, n=3, k=5, d=Distance.exact(1), c=0)
+        # k == n is possible (the whole space, d = 1)
+        assert EaqeccParams(q=2, n=3, k=3, d=Distance.exact(1), c=0).net == 3
+
     def test_constructed_code_caps_c(self):
         # any non-None provenance turns on the c <= n - k check
         with pytest.raises(ValueError, match="c <= n - k"):

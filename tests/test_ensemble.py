@@ -173,7 +173,24 @@ class TestWeightPolynomial:
             WeightPolynomial((1, -2), n_e=3)
 
 
+def nt_w_per_vector(n1, n2):
+    """N_t(w) by visiting each vector of GF(4)^(n1*n2) as a digit tuple."""
+    table = [[0] * (n1 * n2 + 1) for _ in range(n2 + 1)]
+    for v in iproduct(range(4), repeat=n1 * n2):
+        w = sum(1 for x in v if x)
+        t = sum(1 for b in range(n2) if any(v[b * n1:(b + 1) * n1]))
+        table[t][w] += 1
+    return table
+
+
+SMALL_SIZES = [(n1, n2) for n1 in range(1, 7) for n2 in range(1, 7) if n1 * n2 <= 6]
+
+
 class TestBruteforceTable:
+    @pytest.mark.parametrize("n1,n2", SMALL_SIZES)
+    def test_matches_per_vector_reference(self, n1, n2):
+        assert nt_w_bruteforce(n1, n2).tolist() == nt_w_per_vector(n1, n2)
+
     @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 2), (3, 2), (2, 3), (1, 5)])
     def test_matches_psi(self, n1, n2):
         table = nt_w_bruteforce(n1, n2)
