@@ -8,7 +8,8 @@ externally tabulated comparison curves can be pasted in next to the data.
 
 import argparse
 
-from eaqec.bounds import curves_to_csv, envelope_curve, sample_curve
+from eaqec.bounds import curves_to_csv, delta_grid, envelope_curve, sample_curve
+from eaqec.errors import DomainError
 
 MEMBERS = [
     ("C5", {"m": 4}),
@@ -26,12 +27,10 @@ def main(argv=None) -> int:
     ap.add_argument("--delta-step", type=float, default=0.002)
     args = ap.parse_args(argv)
 
-    grid = []
-    i = 0
-    while i * args.delta_step <= args.delta_max + 1e-15:
-        grid.append(i * args.delta_step)
-        i += 1
-
+    try:
+        grid = delta_grid(args.delta_step, args.delta_max)
+    except DomainError as e:
+        ap.error(str(e))
     curves = [sample_curve(f, grid, **p) for f, p in MEMBERS]
     curves.append(envelope_curve(grid, MEMBERS))
     csv = curves_to_csv(

@@ -36,7 +36,6 @@ _SOURCES = {
     "nt_w_bruteforce": "ensemble",
     "psi_t": "ensemble",
     "EaqecError": "errors",
-    "FieldElement": "gf",
     "FieldSpec": "gf",
     "field_of_order": "gf",
     "MatrixGF": "matrix",

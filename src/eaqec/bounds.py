@@ -300,6 +300,29 @@ class BoundCurve:
         return f"{self.family}[{inner}]"
 
 
+# Most points delta_grid builds; larger grids are refused before any work.
+_MAX_GRID_POINTS = 10**6
+
+
+def delta_grid(step: float, top: float) -> list[float]:
+    """The sampling grid 0, step, 2*step, ... up to top (within 1e-15)."""
+    if not (math.isfinite(step) and step > 0):
+        raise DomainError(f"delta step must be positive and finite, got {step:g}")
+    if not math.isfinite(top):
+        raise DomainError(f"delta max must be finite, got {top:g}")
+    if top / step >= _MAX_GRID_POINTS:
+        raise DomainError(
+            f"delta step {step:g} gives {top / step + 1:.3g} "
+            f"grid points, above the cap {_MAX_GRID_POINTS}"
+        )
+    grid = []
+    i = 0
+    while i * step <= top + 1e-15:
+        grid.append(i * step)
+        i += 1
+    return grid
+
+
 def _check_grid(deltas) -> tuple[float, ...]:
     grid = tuple(float(d) for d in deltas)
     if any(b <= a for a, b in zip(grid, grid[1:])):

@@ -16,7 +16,13 @@ import json
 import sys
 
 from . import __version__
-from .bounds import curves_to_csv, eacqc_rate_bounds, gv_root_x0, sample_curve
+from .bounds import (
+    curves_to_csv,
+    delta_grid,
+    eacqc_rate_bounds,
+    gv_root_x0,
+    sample_curve,
+)
 from .codes import DEFAULT_BUDGET, ClassicalCode, min_distance
 from .concat import (
     audit_tables,
@@ -36,8 +42,8 @@ from .eaqecc import (
     parse_params,
 )
 from .ensemble import EnsembleSpec, theorem2_probability_bound
-from .errors import BadFamilyParams, DomainError, EaqecError, ParseError
-from .gf import FieldSpec, prime_power
+from .errors import BadFamilyParams, EaqecError, ParseError
+from .gf import field_of_order
 from .matrix import MatrixGF
 
 
@@ -60,12 +66,8 @@ def read_matrix_file(path: str) -> MatrixGF:
         coeffs = tuple(int(tok) for tok in head[3].split(","))
     except ValueError:
         raise ParseError(f"{path}: malformed header numbers") from None
-    pm = prime_power(q)
-    if pm is None:
-        raise ParseError(f"{path}: {q} is not a prime power")
-    p, m = pm
     try:
-        spec = FieldSpec(p, m, modulus=coeffs)
+        spec = field_of_order(q, coeffs)
     except EaqecError as e:
         raise ParseError(f"{path}: bad field header: {e}") from None
     rows = []
@@ -188,20 +190,19 @@ def cmd_audit(args, out: _Out) -> int:
     unexpected = 0
     for verdict in report.verdicts:
         row = verdict.row
+        mismatches = "; ".join(
+            f"{m.field} expected={m.expected} published={m.published}"
+            for m in verdict.mismatches
+        )
+        is_known = not verdict.consistent and is_known_discrepancy(verdict)
         if verdict.consistent:
             status = "consistent"
-        elif is_known_discrepancy(verdict):
+        elif is_known:
             known += 1
-            status = "MISMATCH (known) " + "; ".join(
-                f"{m.field} expected={m.expected} published={m.published}"
-                for m in verdict.mismatches
-            )
+            status = "MISMATCH (known) " + mismatches
         else:
             unexpected += 1
-            status = "MISMATCH " + "; ".join(
-                f"{m.field} expected={m.expected} published={m.published}"
-                for m in verdict.mismatches
-            )
+            status = "MISMATCH " + mismatches
         out.line(f"{row.label()} {row.published.render()}: {status}")
         out.record(
             {
@@ -210,7 +211,7 @@ def cmd_audit(args, out: _Out) -> int:
                 "index": row.index,
                 "published": row.published.render(),
                 "consistent": verdict.consistent,
-                "known": (not verdict.consistent) and is_known_discrepancy(verdict),
+                "known": is_known,
                 "mismatches": [
                     {"field": m.field, "expected": m.expected, "published": m.published}
                     for m in verdict.mismatches
@@ -239,24 +240,8 @@ def _parse_m_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-# Most grid points `bounds` builds; larger grids are refused before any work.
-_MAX_GRID_POINTS = 10**6
-
-
 def cmd_bounds(args, out: _Out) -> int:
-    if args.delta_step <= 0:
-        raise DomainError("delta step must be positive")
-    top = min(args.delta_max, 0.75)
-    if top / args.delta_step >= _MAX_GRID_POINTS:
-        raise DomainError(
-            f"delta step {args.delta_step:g} gives {top / args.delta_step + 1:.3g} "
-            f"grid points, above the cap {_MAX_GRID_POINTS}"
-        )
-    grid = []
-    i = 0
-    while i * args.delta_step <= top + 1e-15:
-        grid.append(i * args.delta_step)
-        i += 1
+    grid = delta_grid(args.delta_step, min(args.delta_max, 0.75))
     curves = []
     if args.family == "GV":
         curves.append(sample_curve("GV", grid, ce=args.ce))

@@ -109,10 +109,6 @@ class EaqeccParams:
         return self.render()
 
 
-def net_transmission(code: EaqeccParams) -> int:
-    return code.net
-
-
 @dataclass(frozen=True)
 class EaDefect:
     value: int

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bounds import entropy_q4
 from .errors import DomainError, TooLarge
-from .gf import FieldSpec
+from .gf import field_of_order
 
 _MAX_COEFFS = 10**4
 _MAX_ENSEMBLE = 1 << 24
@@ -327,80 +327,42 @@ class EnsembleReport:
         return "\n".join(lines)
 
 
-def _inner_classes(n1: int, k1: int) -> tuple[ClassStat, ClassStat, int]:
-    """Enumerate every P1 in GF(4)^(k1 x r1) against every nonzero u in GF(4)^n1."""
-    spec = FieldSpec(2, 2)
-    r1 = n1 - k1
-    matrices = list(iproduct(range(4), repeat=k1 * r1))
-    counts: dict[tuple[int, ...], int] = {}
-    for u in iproduct(range(4), repeat=n1):
-        if any(u):
-            counts[u] = 0
-    for flat in matrices:
-        # H1 = [-P1^T I]; the syndrome of u is P1^T u_info subtracted from u_par
-        for u, _ in counts.items():
-            ok = True
-            for j in range(r1):
-                acc = 0
-                for i in range(k1):
-                    acc = spec.add(acc, spec.mul(flat[i * r1 + j], u[i]))
-                if acc != u[k1 + j]:
-                    ok = False
-                    break
-            if ok:
-                counts[u] += 1
-    total = len(matrices)
-    by_class: dict[bool, list[Fraction]] = {True: [], False: []}
-    sizes = {True: 0, False: 0}
-    for u, hits in counts.items():
-        info_zero = not any(u[:k1])
-        sizes[info_zero] += 1
-        f = Fraction(hits, total)
-        if f not in by_class[info_zero]:
-            by_class[info_zero].append(f)
-    zero_stat = ClassStat(
-        "inner", True, sizes[True], tuple(sorted(by_class[True])), Fraction(0)
-    )
-    nonzero_stat = ClassStat(
-        "inner", False, sizes[False], tuple(sorted(by_class[False])), Fraction(1, 4**r1)
-    )
-    return zero_stat, nonzero_stat, total
+def _syndrome_classes(
+    experiment: str, q: int, n: int, k: int
+) -> tuple[ClassStat, ClassStat, int]:
+    """Enumerate every P in GF(q)^(k x r) against every nonzero v in GF(q)^n.
 
-
-def _outer_classes(q: int, n2: int, k2: int) -> tuple[ClassStat, ClassStat, int]:
-    """Same check for the outer alphabet GF(q), q = 4^kbar1.
-
-    The count over all P2 factorizes over the r2 independent columns of P2,
-    so each column is enumerated in full and the per-vector matrix count is
-    the product of per-column counts; results are exact.
+    H = [-P^T I], so v is killed when P^T v_info equals v_par.  The count over
+    all P factorizes over the r independent columns of P, so each column is
+    enumerated in full and the per-vector matrix count is the product of
+    per-column counts; results are exact.
     """
-    p, m = 2, q.bit_length() - 1
-    spec = FieldSpec(p, m)
-    r2 = n2 - k2
-    if q**n2 > _MAX_VECTOR_SPACE:
-        raise TooLarge(f"{q}^{n2} test vectors exceed the enumeration cap")
-    cols = np.array(list(iproduct(range(q), repeat=k2)), dtype=np.int64)
-    total = (q**k2) ** r2
+    spec = field_of_order(q)
+    r = n - k
+    if q**n > _MAX_VECTOR_SPACE:
+        raise TooLarge(f"{q}^{n} test vectors exceed the enumeration cap")
+    cols = np.array(list(iproduct(range(q), repeat=k)), dtype=np.int64)
+    total = (q**k) ** r
     by_class: dict[bool, list[Fraction]] = {True: [], False: []}
     sizes = {True: 0, False: 0}
-    for v in iproduct(range(q), repeat=n2):
+    for v in iproduct(range(q), repeat=n):
         if not any(v):
             continue
-        info = np.array(v[:k2], dtype=np.int64)
+        info = np.array(v[:k], dtype=np.int64)
         dots = spec.vsum(spec.vmul(cols, info), axis=1)
         hits = 1
-        for j in range(r2):
-            hits *= int(np.count_nonzero(dots == v[k2 + j]))
-        info_zero = not any(v[:k2])
+        for j in range(r):
+            hits *= int(np.count_nonzero(dots == v[k + j]))
+        info_zero = not any(v[:k])
         sizes[info_zero] += 1
         f = Fraction(hits, total)
         if f not in by_class[info_zero]:
             by_class[info_zero].append(f)
     zero_stat = ClassStat(
-        "outer", True, sizes[True], tuple(sorted(by_class[True])), Fraction(0)
+        experiment, True, sizes[True], tuple(sorted(by_class[True])), Fraction(0)
     )
     nonzero_stat = ClassStat(
-        "outer", False, sizes[False], tuple(sorted(by_class[False])), Fraction(1, q**r2)
+        experiment, False, sizes[False], tuple(sorted(by_class[False])), Fraction(1, q**r)
     )
     return zero_stat, nonzero_stat, total
 
@@ -421,8 +383,8 @@ def ensemble_exhaustive(n1: int, k1: int, n2: int, k2: int) -> EnsembleReport:
     outer_total = (q_outer**k2) ** spec.r2
     if inner_total * outer_total > _MAX_ENSEMBLE:
         raise TooLarge("ensemble larger than the enumeration cap")
-    inner_zero, inner_nonzero, inner_n = _inner_classes(n1, k1)
-    outer_zero, outer_nonzero, outer_n = _outer_classes(q_outer, n2, k2)
+    inner_zero, inner_nonzero, inner_n = _syndrome_classes("inner", 4, n1, k1)
+    outer_zero, outer_nonzero, outer_n = _syndrome_classes("outer", q_outer, n2, k2)
     return EnsembleReport(
         spec=spec,
         inner_matrices=inner_n,

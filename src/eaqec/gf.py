@@ -10,7 +10,8 @@ Default moduli are Conway polynomials for the shipped extension fields, so the
 integer encoding of every element is stable across runs and machines.  Prime
 fields (m = 1) use the degenerate modulus x and need no table entry.  Moduli
 supplied by the caller are verified irreducible by trial division against all
-monic polynomials of degree <= m/2; q is capped at 2**20.
+monic polynomials of degree <= m/2; q is capped at 2**20, and at 2**18 for
+extension fields, whose vectorized multiply needs discrete-log arrays.
 
 Scalar operations work on (and return) plain ints.  The v*-prefixed methods
 are vectorized counterparts on numpy integer arrays; they are exact as well
@@ -144,6 +145,10 @@ class FieldSpec:
         q = p ** m
         if q > MAX_FIELD_SIZE:
             raise FieldTooLarge(f"p^m = {q} exceeds the cap {MAX_FIELD_SIZE}")
+        if m > 1 and q > _EXPLOG_CAP:
+            raise FieldTooLarge(
+                f"extension field p^m = {q} exceeds the discrete-log cap {_EXPLOG_CAP}"
+            )
         if modulus is None:
             if m == 1:
                 modulus = (0, 1)
@@ -203,20 +208,6 @@ class FieldSpec:
         for c in reversed(list(cs)):
             v = v * self.p + c % self.p
         return v
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value)
-
-    def elements(self):
-        return range(self.q)
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     # --- scalar arithmetic (ints in [0, q)) ---
 
@@ -318,10 +309,6 @@ class FieldSpec:
         tabs = self._cache.get("explog")
         if tabs is not None:
             return tabs
-        if self.q > _EXPLOG_CAP:
-            raise FieldTooLarge(
-                f"discrete-log tables not built for q = {self.q} > {_EXPLOG_CAP}"
-            )
         q = self.q
         n = q - 1
         factors = []
@@ -479,61 +466,6 @@ class FieldSpec:
 
     def vfrobenius(self, a, q0: int):
         return self._frob_table(q0)[a]
-
-
-class FieldElement:
-    """A field value bound to its FieldSpec; thin wrapper over the int encoding."""
-
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec: FieldSpec, value: int):
-        if not isinstance(value, int) or not 0 <= value < spec.q:
-            raise ValueError(f"value {value!r} not in [0, {spec.q})")
-        self.spec = spec
-        self.value = value
-
-    def _coerce(self, other) -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.spec != self.spec:
-            raise FieldMismatch(f"{self.spec!r} vs {other.spec!r}")
-        return other.value
-
-    def __add__(self, other):
-        return FieldElement(self.spec, self.spec.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.spec, self.spec.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.spec, self.spec.mul(self.value, self._coerce(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(
-            self.spec, self.spec.mul(self.value, self.spec.inv(self._coerce(other)))
-        )
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow(self.value, e))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and other.spec == self.spec
-            and other.value == self.value
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value}:{self.spec!r}"
 
 
 def field_of_order(q: int, modulus=None) -> FieldSpec:

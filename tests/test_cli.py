@@ -330,6 +330,16 @@ class TestBounds:
         assert code == 3
         assert err.startswith("error: DomainError")
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--delta-step", "nan"), ("--delta-step", "inf"), ("--delta-max", "nan")],
+    )
+    def test_non_finite_grid(self, capsys, flag, value):
+        code, lines, err = run(capsys, ["bounds", "--family", "C5", "--m", "4",
+                                        flag, value, "--quiet"])
+        assert code == 3 and lines == []
+        assert err.startswith("error: DomainError")
+
     def test_grid_cap(self, capsys):
         # 1e-9 would mean 750M points; refused before the grid is built
         start = time.perf_counter()
@@ -418,3 +428,11 @@ class TestMindist:
         code, _, err = run(capsys, ["mindist", "--code", ham, "--budget", "0"])
         assert code == 3
         assert err.startswith("error: BudgetInvalid")
+
+    def test_extension_field_above_log_cap(self, capsys, tmp_path):
+        # GF(727^2) is under the 2^20 field cap but above the 2^18 cap on
+        # extension fields; the header is refused before any arithmetic
+        path = write(tmp_path, "big.txt", "q 528529 poly 1,0,1\n1 2 3 4\n5 6 7 9\n")
+        code, lines, err = run(capsys, ["mindist", "--code", path, "--quiet"])
+        assert code == 2 and lines == []
+        assert err.startswith("error: ParseError") and "bad field header" in err

@@ -16,7 +16,6 @@ from eaqec.eaqecc import (
     format_params,
     hermitian_construct,
     hermitian_entanglement,
-    net_transmission,
     parse_params,
 )
 from eaqec.errors import (
@@ -54,7 +53,7 @@ class TestParams:
         p = EaqeccParams(q=2, n=3, k=2, d=Distance.lower_bound(2), c=1)
         assert p.render() == "[[3,2,>=2;1]]_2"
         assert str(p) == p.render()
-        assert p.net == 1 and net_transmission(p) == 1
+        assert p.net == 1
         assert p.is_maximal
 
     def test_not_maximal(self):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from eaqec.ensemble import (
+    ClassStat,
     EnsembleSpec,
     WeightPolynomial,
     avg_codeword_bound,
@@ -367,7 +368,46 @@ class TestTheorem2:
         )
 
 
+def whole_matrix_classes(experiment, spec, n, k):
+    """Syndrome-kill classes by visiting every whole P in GF(q)^(k x r).
+
+    A per-matrix oracle for ensemble_exhaustive: each of the q^(k*r) parity
+    parts is built in full and every nonzero v is tested against H = [-P^T I]
+    with scalar field arithmetic, so nothing rests on the columns of P being
+    independent.
+    """
+    q, r = spec.q, n - k
+    vectors = [v for v in iproduct(range(q), repeat=n) if any(v)]
+    hits = dict.fromkeys(vectors, 0)
+    matrices = list(iproduct(range(q), repeat=k * r))
+    for flat in matrices:
+        cols = [flat[j::r] for j in range(r)]  # column j of P, row-major flat
+        for v in vectors:
+            if all(_gf_dot(spec, col, v[:k]) == v[k + j] for j, col in enumerate(cols)):
+                hits[v] += 1
+    stats = []
+    for info_zero in (True, False):
+        members = [v for v in vectors if (not any(v[:k])) == info_zero]
+        freqs = tuple(sorted({Fraction(hits[v], len(matrices)) for v in members}))
+        expected = Fraction(0) if info_zero else Fraction(1, q**r)
+        stats.append(ClassStat(experiment, info_zero, len(members), freqs, expected))
+    return tuple(stats), len(matrices)
+
+
 class TestExhaustive:
+    @pytest.mark.parametrize("n1,k1", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_inner_matches_whole_matrix_oracle(self, n1, k1):
+        report = ensemble_exhaustive(n1, k1, 2, 1)
+        stats, matrices = whole_matrix_classes("inner", FieldSpec(2, 2), n1, k1)
+        assert report.classes[:2] == stats
+        assert report.inner_matrices == matrices
+
+    def test_outer_gf16_matches_whole_matrix_oracle(self):
+        report = ensemble_exhaustive(2, 2, 2, 1)  # outer field GF(4^kbar1) = GF(16)
+        stats, matrices = whole_matrix_classes("outer", FieldSpec(2, 4), 2, 1)
+        assert report.classes[2:] == stats
+        assert report.outer_matrices == matrices
+
     @pytest.mark.parametrize("args", [(2, 1, 2, 1), (3, 2, 2, 1)])
     def test_identities_hold(self, args):
         report = ensemble_exhaustive(*args)
