@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import BadFamilyParams, DomainError, FieldTooLarge, NoRoot, NotSquare
-from .gf import MAX_FIELD_SIZE, is_prime, prime_power
+from .primes import MAX_FIELD_SIZE, is_prime, prime_power
 
 LOG4_3 = math.log(3) / math.log(4)
 
@@ -308,8 +308,8 @@ def delta_grid(step: float, top: float) -> list[float]:
     """The sampling grid 0, step, 2*step, ... up to top (within 1e-15)."""
     if not (math.isfinite(step) and step > 0):
         raise DomainError(f"delta step must be positive and finite, got {step:g}")
-    if not math.isfinite(top):
-        raise DomainError(f"delta max must be finite, got {top:g}")
+    if not (math.isfinite(top) and top >= 0):
+        raise DomainError(f"delta max must be non-negative and finite, got {top:g}")
     if top / step >= _MAX_GRID_POINTS:
         raise DomainError(
             f"delta step {step:g} gives {top / step + 1:.3g} "

@@ -14,41 +14,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .bounds import (
-    curves_to_csv,
-    delta_grid,
-    eacqc_rate_bounds,
-    gv_root_x0,
-    sample_curve,
-)
-from .codes import DEFAULT_BUDGET, ClassicalCode, min_distance
-from .concat import (
-    audit_tables,
-    concatenate,
-    expurgate,
-    extend,
-    is_known_discrepancy,
-    load_bundled_tables,
-    parse_table_file,
-)
-from .eaqecc import (
-    EaqeccParams,
-    css_construct,
-    ea_singleton_defect,
-    format_params,
-    hermitian_construct,
-    parse_params,
-)
-from .ensemble import EnsembleSpec, theorem2_probability_bound
+from .codes import DEFAULT_BUDGET
 from .errors import BadFamilyParams, EaqecError, ParseError
-from .gf import field_of_order
-from .matrix import MatrixGF
+
+# Each subcommand imports the layers it calls, so that only the ones that
+# read matrix files (css, hermitian, mindist) load numpy.
+if TYPE_CHECKING:
+    from .codes import ClassicalCode
+    from .eaqecc import EaqeccParams
+    from .ensemble import EnsembleSpec
+    from .matrix import MatrixGF
 
 
 def read_matrix_file(path: str) -> MatrixGF:
     """Parse a matrix file; all failures surface as ParseError."""
+    from .gf import field_of_order
+    from .matrix import MatrixGF
+
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -93,6 +78,8 @@ def read_matrix_file(path: str) -> MatrixGF:
 
 
 def _parse_ensemble_spec(text: str) -> EnsembleSpec:
+    from .ensemble import EnsembleSpec
+
     try:
         parts = [int(tok) for tok in text.split(",")]
     except ValueError:
@@ -119,6 +106,8 @@ class _Out:
 
 
 def _emit_code(out: _Out, command: str, code: EaqeccParams) -> None:
+    from .eaqecc import ea_singleton_defect, format_params
+
     defect = ea_singleton_defect(code)
     maximal = "yes" if code.is_maximal else "no"
     out.line(
@@ -138,11 +127,15 @@ def _emit_code(out: _Out, command: str, code: EaqeccParams) -> None:
 
 
 def _code_from_file(path: str, budget: int) -> ClassicalCode:
+    from .codes import ClassicalCode, min_distance
+
     code = ClassicalCode.from_parity_check(read_matrix_file(path))
     return code.with_distance(min_distance(code, budget=budget))
 
 
 def cmd_css(args, out: _Out) -> int:
+    from .eaqecc import css_construct
+
     c1 = _code_from_file(args.c1, args.budget)
     c2 = _code_from_file(args.c2, args.budget)
     _emit_code(out, "css", css_construct(c1, c2))
@@ -150,12 +143,17 @@ def cmd_css(args, out: _Out) -> int:
 
 
 def cmd_hermitian(args, out: _Out) -> int:
+    from .eaqecc import hermitian_construct
+
     code = _code_from_file(args.code, args.budget)
     _emit_code(out, "hermitian", hermitian_construct(code, args.base))
     return 0
 
 
 def _concat_from_args(args) -> EaqeccParams:
+    from .concat import concatenate
+    from .eaqecc import parse_params
+
     inner = parse_params(args.inner)
     outer = parse_params(args.outer)
     return concatenate(inner, outer)
@@ -167,16 +165,27 @@ def cmd_concat(args, out: _Out) -> int:
 
 
 def cmd_extend(args, out: _Out) -> int:
+    from .concat import extend
+
     _emit_code(out, "extend", extend(_concat_from_args(args), args.t))
     return 0
 
 
 def cmd_expurgate(args, out: _Out) -> int:
+    from .concat import expurgate
+
     _emit_code(out, "expurgate", expurgate(_concat_from_args(args), args.t))
     return 0
 
 
 def cmd_audit(args, out: _Out) -> int:
+    from .concat import (
+        audit_tables,
+        is_known_discrepancy,
+        load_bundled_tables,
+        parse_table_file,
+    )
+
     if args.tables is None:
         rows = load_bundled_tables()
     else:
@@ -241,6 +250,8 @@ def _parse_m_range(text: str) -> range:
 
 
 def cmd_bounds(args, out: _Out) -> int:
+    from .bounds import curves_to_csv, delta_grid, eacqc_rate_bounds, sample_curve
+
     grid = delta_grid(args.delta_step, min(args.delta_max, 0.75))
     curves = []
     if args.family == "GV":
@@ -272,6 +283,9 @@ def cmd_bounds(args, out: _Out) -> int:
 
 
 def cmd_gv(args, out: _Out) -> int:
+    from .bounds import gv_root_x0
+    from .ensemble import theorem2_probability_bound
+
     spec = _parse_ensemble_spec(args.spec)
     x0 = gv_root_x0(spec.rate, spec.ea_rate)
     out.line(
@@ -307,6 +321,8 @@ def cmd_gv(args, out: _Out) -> int:
 
 
 def cmd_mindist(args, out: _Out) -> int:
+    from .codes import ClassicalCode, min_distance
+
     h = read_matrix_file(args.code)
     code = ClassicalCode.from_parity_check(h)
     d = min_distance(code, budget=args.budget)

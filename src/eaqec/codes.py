@@ -11,12 +11,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BudgetInvalid, DistanceUnknown, FieldMismatch
-from .gf import FieldSpec
-from .matrix import MatrixGF
+
+if TYPE_CHECKING:
+    from .gf import FieldSpec
+    from .matrix import MatrixGF
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -194,6 +195,8 @@ def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
     walked one coefficient tuple at a time, each adding one vector to the
     whole table.  Memory stays at a few tables, whatever the budget.
     """
+    import numpy as np
+
     if not isinstance(budget, int) or budget < 1:
         raise BudgetInvalid(f"budget must be a positive integer, got {budget!r}")
     if code.k == 0:
@@ -260,6 +263,8 @@ def singleton_defect(code: ClassicalCode, dual_budget: int = 1 << 16) -> Singlet
 
 def random_code(spec: FieldSpec, n: int, k: int, rng: random.Random) -> ClassicalCode:
     """A uniformly sampled [n, k] code (full-rank random generator)."""
+    from .matrix import MatrixGF
+
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if k == 0:

@@ -16,16 +16,20 @@ the routes disagree.  Constructed distances are stored as design lower bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .codes import ClassicalCode, Distance
+from .codes import Distance
 from .errors import (
     DistanceUnknown,
     EntanglementFormulaMismatch,
     FieldMismatch,
     LengthMismatch,
 )
-from .gf import prime_power
-from .matrix import MatrixGF, rowspace_intersection_dim
+from .primes import prime_power
+
+if TYPE_CHECKING:
+    from .codes import ClassicalCode
+    from .matrix import MatrixGF
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,8 @@ def _dimension_route(dual_gen: MatrixGF, gen: MatrixGF) -> int:
     and a generator), so their ranks are their row counts and only the
     stacked matrix is eliminated.
     """
+    from .matrix import rowspace_intersection_dim
+
     return dual_gen.rows - rowspace_intersection_dim(
         dual_gen, gen, dual_gen.rows, gen.rows
     )

@@ -26,12 +26,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bounds import entropy_q4
 from .errors import DomainError, TooLarge
-from .gf import field_of_order
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAX_COEFFS = 10**4
 _MAX_ENSEMBLE = 1 << 24
@@ -107,6 +108,8 @@ def nt_w_bruteforce(n1: int, n2: int) -> np.ndarray:
     folding each pair onto its low bit marks the nonzero coordinates, so w is
     a popcount and a block is nonzero when its mask meets the marks.
     """
+    import numpy as np
+
     if n1 < 1 or n2 < 1:
         raise DomainError("need n1 >= 1 and n2 >= 1")
     ne = n1 * n2
@@ -337,6 +340,10 @@ def _syndrome_classes(
     enumerated in full and the per-vector matrix count is the product of
     per-column counts; results are exact.
     """
+    import numpy as np
+
+    from .gf import field_of_order
+
     spec = field_of_order(q)
     r = n - k
     if q**n > _MAX_VECTOR_SPACE:

@@ -25,8 +25,6 @@ check the tables against.
 
 from __future__ import annotations
 
-from math import isqrt
-
 import numpy as np
 
 from .errors import (
@@ -37,8 +35,7 @@ from .errors import (
     NotIrreducible,
     NotPrime,
 )
-
-MAX_FIELD_SIZE = 1 << 20
+from .primes import MAX_FIELD_SIZE, is_prime, prime_power
 
 # Full operation tables are only built for small fields; beyond this the
 # vectorized path falls back to discrete-log arrays and base-p digit loops,
@@ -61,34 +58,6 @@ _BUILTIN_MODULI = {
     (5, 2): (2, 4, 1),
     (7, 2): (3, 6, 1),
 }
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
-
-
-def prime_power(q: int) -> tuple[int, int] | None:
-    """Factor q as p^m with p prime, or return None."""
-    if q < 2:
-        return None
-    for p in range(2, isqrt(q) + 1):
-        if q % p == 0:
-            m = 0
-            r = q
-            while r % p == 0:
-                r //= p
-                m += 1
-            return (p, m) if r == 1 else None
-    return (q, 1)
 
 
 def _poly_trim(c: list[int]) -> list[int]:
@@ -470,6 +439,8 @@ class FieldSpec:
 
 def field_of_order(q: int, modulus=None) -> FieldSpec:
     """Construct GF(q) from the field size, factoring q = p^m."""
+    if q > MAX_FIELD_SIZE:
+        raise FieldTooLarge(f"q = {q} exceeds the cap {MAX_FIELD_SIZE}")
     pm = prime_power(q)
     if pm is None:
         raise NotPrime(f"{q} is not a prime power")

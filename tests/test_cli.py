@@ -340,6 +340,13 @@ class TestBounds:
         assert code == 3 and lines == []
         assert err.startswith("error: DomainError")
 
+    def test_negative_grid_max(self, capsys):
+        # an empty grid is an error, not a header-only CSV
+        code, lines, err = run(capsys, ["bounds", "--family", "C5", "--m", "4",
+                                        "--delta-max", "-1", "--quiet"])
+        assert code == 3 and lines == []
+        assert err.startswith("error: DomainError") and "non-negative" in err
+
     def test_grid_cap(self, capsys):
         # 1e-9 would mean 750M points; refused before the grid is built
         start = time.perf_counter()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eaqec import gf
 from eaqec.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -183,6 +184,19 @@ def test_field_of_order():
     assert field_of_order(8) == FieldSpec(2, 3)
     with pytest.raises(NotPrime):
         field_of_order(6)
+
+
+def test_field_of_order_checks_the_cap_before_factoring(monkeypatch):
+    # factoring a huge q by trial division takes sqrt(q) steps; the cap
+    # must refuse it first
+    def no_factoring(q):
+        raise AssertionError(f"prime_power({q}) called above the cap")
+
+    monkeypatch.setattr(gf, "prime_power", no_factoring)
+    with pytest.raises(FieldTooLarge, match="exceeds the cap"):
+        field_of_order(2**21)
+    with pytest.raises(FieldTooLarge, match="exceeds the cap"):
+        field_of_order(100000000000031)
 
 
 # GF(3^6), above the table cap: its vector add/neg/sub take the digit-loop

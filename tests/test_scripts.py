@@ -42,6 +42,14 @@ def test_emit_bound_curves_rejects_non_finite_step(tmp_path):
     assert not out.exists()
 
 
+def test_emit_bound_curves_rejects_negative_max(tmp_path):
+    out = tmp_path / "curves.csv"
+    proc = run_script("emit_bound_curves.py", "--out", str(out), "--delta-max", "-1")
+    assert proc.returncode != 0
+    assert "delta max must be non-negative and finite" in proc.stderr
+    assert not out.exists()
+
+
 def test_run_ensemble_checks(tmp_path):
     proc = run_script("run_ensemble_checks.py", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
