@@ -10,17 +10,19 @@ Default moduli are Conway polynomials for the shipped extension fields, so the
 integer encoding of every element is stable across runs and machines.  Prime
 fields (m = 1) use the degenerate modulus x and need no table entry.  Moduli
 supplied by the caller are verified irreducible by trial division against all
-monic polynomials of degree <= m/2; q is capped at 2**20, and at 2**18 for
-extension fields, whose vectorized multiply needs discrete-log arrays.
+monic polynomials of degree <= m/2.  Supported fields: prime q <= 2**20, and
+extension fields q <= 1024 (_TABLE_CAP), whose vector ops read full q x q
+tables.
 
 Scalar operations work on (and return) plain ints.  The v*-prefixed methods
 are vectorized counterparts on numpy integer arrays; they are exact as well
-(table- or digit-based, never floating point) and exist so that matrix kernels
-can run at array speed.  For q <= _TABLE_CAP the inverse and multiplication
-tables, and for extension fields of odd characteristic also the addition and
-negation tables, are built lazily on first use.  The scalar add/neg/mul/pow
-methods use no tables; they build the tables and are the reference that tests
-check the tables against.
+(never floating point) and exist so that matrix kernels can run at array
+speed.  Each op has one path per field kind: XOR in characteristic 2, integer
+arithmetic mod p in prime fields, and lookup tables in extension fields (the
+multiplication and inverse tables, and in odd characteristic the addition and
+negation tables), built lazily on first use.  vsum reduces base-p digits.
+The scalar add/neg/mul/pow methods use no tables; they build the tables and
+are the reference that tests check the tables against.
 """
 
 from __future__ import annotations
@@ -37,11 +39,9 @@ from .errors import (
 )
 from .primes import MAX_FIELD_SIZE, is_prime, prime_power
 
-# Full operation tables are only built for small fields; beyond this the
-# vectorized path falls back to discrete-log arrays and base-p digit loops,
-# and inv to a Fermat power.
-_TABLE_CAP = 512
-_EXPLOG_CAP = 1 << 18
+# Extension fields are capped where their full operation tables stay small:
+# an int64 q x q table is 8 MB at q = 1024.  Prime fields need no tables.
+_TABLE_CAP = 1024
 
 # Conway polynomials, coefficient tuples (c0, ..., cm) with cm = 1, indexed by
 # (p, m).  Covers every shipped extension field.
@@ -114,9 +114,9 @@ class FieldSpec:
         q = p ** m
         if q > MAX_FIELD_SIZE:
             raise FieldTooLarge(f"p^m = {q} exceeds the cap {MAX_FIELD_SIZE}")
-        if m > 1 and q > _EXPLOG_CAP:
+        if m > 1 and q > _TABLE_CAP:
             raise FieldTooLarge(
-                f"extension field p^m = {q} exceeds the discrete-log cap {_EXPLOG_CAP}"
+                f"extension field p^m = {q} exceeds the table cap {_TABLE_CAP}"
             )
         if modulus is None:
             if m == 1:
@@ -262,9 +262,9 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"0 has no inverse in {self!r}")
-        if self.q <= _TABLE_CAP:
-            return self._inv_table()[a]
-        return self.pow(a, self.q - 2)
+        if self.m == 1:
+            return pow(a, -1, self.p)
+        return self._inv_table()[a]
 
     def frobenius(self, a: int, q0: int) -> int:
         """a -> a^q0, for elements of GF(q0^2); fixes the GF(q0) subfield."""
@@ -275,51 +275,32 @@ class FieldSpec:
     # --- lazy tables for vectorized work ---
 
     def _explog(self):
+        """exp/log arrays to a primitive element; extension fields only."""
         tabs = self._cache.get("explog")
-        if tabs is not None:
-            return tabs
-        q = self.q
-        n = q - 1
-        factors = []
-        r = n
-        d = 2
-        while d * d <= r:
-            if r % d == 0:
-                factors.append(d)
-                while r % d == 0:
-                    r //= d
-            d += 1
-        if r > 1:
-            factors.append(r)
-        gen = None
-        for g in range(2, q):
-            if all(self.pow(g, n // f) != 1 for f in factors):
-                gen = g
-                break
-        if gen is None:  # q == 2
-            gen = 1
-        exp = np.zeros(n, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        v = 1
-        for i in range(n):
-            exp[i] = v
-            log[v] = i
-            v = self.mul(v, gen)
-        tabs = (exp, log)
-        self._cache["explog"] = tabs
+        if tabs is None:
+            q, n = self.q, self.q - 1
+            factors = [f for f in range(2, n + 1) if n % f == 0 and is_prime(f)]
+            gen = next(
+                g for g in range(2, q) if all(self.pow(g, n // f) != 1 for f in factors)
+            )
+            exp = np.zeros(n, dtype=np.int64)
+            log = np.zeros(q, dtype=np.int64)
+            v = 1
+            for i in range(n):
+                exp[i] = v
+                log[v] = i
+                v = self.mul(v, gen)
+            tabs = (exp, log)
+            self._cache["explog"] = tabs
         return tabs
 
     def _mul_table(self):
         t = self._cache.get("mul_table")
         if t is None:
             exp, log = self._explog()
-            q = self.q
-            t = np.zeros((q, q), dtype=np.int64)
-            if q > 2:
-                li = log[1:]
-                t[1:, 1:] = exp[(li[:, None] + li[None, :]) % (q - 1)]
-            else:
-                t[1, 1] = 1
+            li = log[1:]
+            t = np.zeros((self.q, self.q), dtype=np.int64)
+            t[1:, 1:] = exp[(li[:, None] + li[None, :]) % (self.q - 1)]
             t.setflags(write=False)
             self._cache["mul_table"] = t
         return t
@@ -338,8 +319,14 @@ class FieldSpec:
     def _add_table(self):
         t = self._cache.get("add_table")
         if t is None:
-            x = np.arange(self.q, dtype=np.int64)
-            t = self._vadd_digits(x[:, None], x[None, :])
+            digits = np.arange(self.q, dtype=np.int64)
+            t = np.zeros((self.q, self.q), dtype=np.int64)
+            pw = 1
+            for _ in range(self.m):
+                d = digits % self.p
+                t += ((d[:, None] + d[None, :]) % self.p) * pw
+                digits //= self.p
+                pw *= self.p
             t.setflags(write=False)
             self._cache["add_table"] = t
         return t
@@ -347,7 +334,7 @@ class FieldSpec:
     def _neg_table(self):
         t = self._cache.get("neg_table")
         if t is None:
-            t = self._vneg_digits(np.arange(self.q, dtype=np.int64))
+            t = np.argmin(self._add_table(), axis=1)
             t.setflags(write=False)
             self._cache["neg_table"] = t
         return t
@@ -364,60 +351,31 @@ class FieldSpec:
 
     # --- vectorized arithmetic on numpy int arrays ---
 
-    def _vadd_digits(self, a, b):
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        pw = 1
-        for _ in range(self.m):
-            out += ((a // pw + b // pw) % self.p) * pw
-            pw *= self.p
-        return out
-
-    def _vneg_digits(self, a):
-        out = np.zeros(np.shape(a), dtype=np.int64)
-        pw = 1
-        for _ in range(self.m):
-            out += ((self.p - (a // pw) % self.p) % self.p) * pw
-            pw *= self.p
-        return out
-
     def vadd(self, a, b):
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.m == 1:
             return (a + b) % self.p
-        if self.q <= _TABLE_CAP:
-            return self._add_table()[a, b]
-        return self._vadd_digits(a, b)
+        return self._add_table()[a, b]
 
     def vneg(self, a):
         if self.p == 2:
             return np.asarray(a)
         if self.m == 1:
             return (self.p - np.asarray(a)) % self.p
-        if self.q <= _TABLE_CAP:
-            return self._neg_table()[a]
-        return self._vneg_digits(a)
+        return self._neg_table()[a]
 
     def vsub(self, a, b):
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.m == 1:
             return (np.asarray(a) - b) % self.p
-        if self.q <= _TABLE_CAP:
-            return self._add_table()[a, self._neg_table()[b]]
-        return self._vadd_digits(a, self._vneg_digits(b))
+        return self._add_table()[a, self._neg_table()[b]]
 
     def vmul(self, a, b):
         if self.m == 1:
             return (np.asarray(a) * np.asarray(b)) % self.p
-        if self.q <= _TABLE_CAP:
-            return self._mul_table()[a, b]
-        exp, log = self._explog()
-        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        out[nz] = exp[(log[a[nz]] + log[b[nz]]) % (self.q - 1)]
-        return out
+        return self._mul_table()[a, b]
 
     def vsum(self, arr, axis):
         """Field sum along an axis (exact reduction of vadd)."""

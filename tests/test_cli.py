@@ -216,6 +216,27 @@ class TestConstructions:
         assert code == 3
         assert err.startswith("error: AlphabetMismatch")
 
+    def test_huge_prime_alphabet_decided_at_once(self, capsys):
+        # 10^18 + 3 is prime, so the outer tuple parses and the alphabet
+        # check refuses it; primality is decided without trial division
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys,
+            ["concat", "--inner", "4,2,2,0,2", "--outer", "5,3,2,1,1000000000000000003"],
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert err.startswith("error: AlphabetMismatch")
+
+    def test_alphabet_beyond_the_primality_range_exits_2(self, capsys):
+        # 2^89 - 1 is prime but above the range where the primality test is
+        # exact, so the tuple is refused rather than guessed at
+        code, _, err = run(
+            capsys, ["concat", "--inner", "4,2,2,0,2", "--outer", f"5,3,2,1,{2**89 - 1}"]
+        )
+        assert code == 2
+        assert err.startswith("error: ParseError") and "cannot decide" in err
+
 
 class TestAudit:
     def test_bundled_fails_without_allowance(self, capsys):
@@ -437,9 +458,11 @@ class TestMindist:
         assert err.startswith("error: BudgetInvalid")
 
     def test_extension_field_above_log_cap(self, capsys, tmp_path):
-        # GF(727^2) is under the 2^20 field cap but above the 2^18 cap on
-        # extension fields; the header is refused before any arithmetic
-        path = write(tmp_path, "big.txt", "q 528529 poly 1,0,1\n1 2 3 4\n5 6 7 9\n")
-        code, lines, err = run(capsys, ["mindist", "--code", path, "--quiet"])
-        assert code == 2 and lines == []
-        assert err.startswith("error: ParseError") and "bad field header" in err
+        # GF(727^2) and GF(2^11) are under the 2^20 field cap but above the
+        # 1024 table cap on extension fields; the header is refused before
+        # any arithmetic
+        for header in ("q 528529 poly 1,0,1", "q 2048 poly 1,0,1,0,0,0,0,0,0,0,0,1"):
+            path = write(tmp_path, "big.txt", header + "\n1 2 3 4\n5 6 7 9\n")
+            code, lines, err = run(capsys, ["mindist", "--code", path, "--quiet"])
+            assert code == 2 and lines == []
+            assert err.startswith("error: ParseError") and "bad field header" in err

@@ -148,10 +148,14 @@ def test_constructor_errors():
         FieldSpec(1, 1)
     with pytest.raises(FieldTooLarge):
         FieldSpec(2, 21)
-    # an extension field above the discrete-log cap is refused when built,
-    # not at its first vector multiply; prime fields keep the 2^20 cap
-    with pytest.raises(FieldTooLarge):
+    # an extension field above the table cap is refused when built, before
+    # its modulus is looked up or checked; prime fields keep the 2^20 cap
+    with pytest.raises(FieldTooLarge, match="table cap"):
         FieldSpec(727, 2, modulus=(1, 0, 1))
+    with pytest.raises(FieldTooLarge, match="table cap"):
+        FieldSpec(2, 11)
+    with pytest.raises(FieldTooLarge, match="table cap"):
+        FieldSpec(2, 11, modulus=(1, 0, 1) + (0,) * 8 + (1,))
     assert FieldSpec(1048573, 1).q == 1048573
     with pytest.raises(NoBuiltinModulus):
         FieldSpec(2, 9)
@@ -199,12 +203,16 @@ def test_field_of_order_checks_the_cap_before_factoring(monkeypatch):
         field_of_order(100000000000031)
 
 
-# GF(3^6), above the table cap: its vector add/neg/sub take the digit-loop
-# route.  The constructor checks that the modulus is irreducible.
-UNTABLED_SPEC = FieldSpec(3, 6, modulus=(2, 2, 1, 0, 2, 0, 1))
+# GF(3^6) and GF(2^10) (x^10 + x^3 + 1), the largest tabled extension fields
+# of odd and even characteristic, with moduli that have no built-in entry.
+# The constructor checks that each modulus is irreducible.
+CAP_SPECS = [
+    FieldSpec(3, 6, modulus=(2, 2, 1, 0, 2, 0, 1)),
+    FieldSpec(2, 10, modulus=(1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
+]
 
 
-@pytest.mark.parametrize("spec", SMALL_SPECS + LARGE_SPECS + [UNTABLED_SPEC])
+@pytest.mark.parametrize("spec", SMALL_SPECS + LARGE_SPECS + CAP_SPECS)
 def test_vector_ops_match_scalar(spec):
     rng = np.random.default_rng(11)
     a = rng.integers(0, spec.q, size=(5, 7))
@@ -235,12 +243,39 @@ def test_inv_matches_fermat_power(spec):
 
 
 def test_tables_built_on_first_use():
+    prime = FieldSpec(5, 1)
+    assert prime.inv(2) == 3
+    assert not prime._cache
     spec = FieldSpec(3, 2)
     assert not spec._cache
     spec.inv(2)
     assert set(spec._cache) == {"explog", "inv_table"}
     spec.vsub(np.arange(9), np.arange(9))
     assert {"add_table", "neg_table"} <= set(spec._cache)
+
+
+@pytest.mark.parametrize(
+    "spec", [FieldSpec(p, m) for p, m in gf._BUILTIN_MODULI], ids=repr
+)
+def test_tables_match_scalar_reference(spec):
+    # every entry of every table the field builds, against the table-free
+    # scalar ops; add and neg tables exist only in odd characteristic
+    q = spec.q
+    mul = spec._mul_table()
+    inv = spec._inv_table()
+    for a in range(q):
+        for b in range(q):
+            assert mul[a, b] == spec.mul(a, b)
+        if a:
+            assert spec.mul(a, inv[a]) == 1
+    if spec.p == 2:
+        return
+    add = spec._add_table()
+    neg = spec._neg_table()
+    for a in range(q):
+        assert neg[a] == spec.neg(a)
+        for b in range(q):
+            assert add[a, b] == spec.add(a, b)
 
 
 def test_vmul_broadcasting():
