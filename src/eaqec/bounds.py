@@ -146,6 +146,9 @@ def gv_root_x0(r_e: float, c_e: float) -> float:
 
 FAMILY_NAMES = ("P1a", "P1b", "C5", "C6", "C7", "C8", "GV")
 
+# Largest m the C5-C8 families take: 2 ** (m // 2) still converts to a float.
+MAX_M = 2047
+
 
 def _need_m(params: dict) -> int:
     m = params.get("m")
@@ -154,37 +157,29 @@ def _need_m(params: dict) -> int:
     return m
 
 
-def _even_eps(m: int) -> float:
+def _eps(m: int) -> float:
+    """1 / (2^floor(m/2) - 1); for odd m, floor(m/2) = (m - 1)/2."""
     return 1.0 / (2 ** (m // 2) - 1)
 
 
-def _odd_eps(m: int) -> float:
-    return 1.0 / (2 ** ((m - 1) // 2) - 1)
-
-
 class _Family:
-    def __init__(self, name, check, rate, domain_hi, hi_open=False):
-        self.name = name
+    def __init__(self, check, rate, domain_hi, hi_open=False):
         self.check = check
         self.rate = rate
         self.domain_hi = domain_hi
         self.hi_open = hi_open
 
 
-def _check_even(min_m):
+def _check_m(parity, min_m):
+    """Check for an m of the given parity (0 even, 1 odd) in (min_m, MAX_M]."""
+    word = ("even", "odd")[parity]
+
     def check(params):
         m = _need_m(params)
-        if m <= min_m or m % 2 != 0:
-            raise BadFamilyParams(f"need even m > {min_m}, got {m}")
-
-    return check
-
-
-def _check_odd(min_m):
-    def check(params):
-        m = _need_m(params)
-        if m <= min_m or m % 2 != 1:
-            raise BadFamilyParams(f"need odd m > {min_m}, got {m}")
+        if m <= min_m or m % 2 != parity:
+            raise BadFamilyParams(f"need {word} m > {min_m}, got {m}")
+        if m > MAX_M:
+            raise BadFamilyParams(f"m = {m} exceeds the cap {MAX_M}")
 
     return check
 
@@ -197,42 +192,42 @@ def _check_gv(params):
 
 def _rate_c5(d, p):
     m = p["m"]
-    return 1.0 - m * d - _even_eps(m)
+    return 1.0 - m * d - _eps(m)
 
 
 def _hi_c5(p):
     m = p["m"]
-    return (1.0 - _even_eps(m)) / m
+    return (1.0 - _eps(m)) / m
 
 
 def _rate_c6(d, p):
     m = p["m"]
-    return (1.0 - 1.0 / m) * (1.0 - (m / 2.0) * d - _odd_eps(m))
+    return (1.0 - 1.0 / m) * (1.0 - (m / 2.0) * d - _eps(m))
 
 
 def _hi_c6(p):
     m = p["m"]
-    return 2.0 * (1.0 - _odd_eps(m)) / m
+    return 2.0 * (1.0 - _eps(m)) / m
 
 
 def _rate_c7(d, p):
     m = p["m"]
-    return 1.0 - 2.0 * m * d - 2.0 * _even_eps(m)
+    return 1.0 - 2.0 * m * d - 2.0 * _eps(m)
 
 
 def _hi_c7(p):
     m = p["m"]
-    return (1.0 - 2.0 * _even_eps(m)) / (2.0 * m)
+    return (1.0 - 2.0 * _eps(m)) / (2.0 * m)
 
 
 def _rate_c8(d, p):
     m = p["m"]
-    return (2.0 - 2.0 / m) * (1.0 - (m / 2.0) * d - _odd_eps(m)) - 1.0
+    return (2.0 - 2.0 / m) * (1.0 - (m / 2.0) * d - _eps(m)) - 1.0
 
 
 def _hi_c8(p):
     m = p["m"]
-    return (1.0 - 1.0 / (m - 1) - 2.0 * _odd_eps(m)) / m
+    return (1.0 - 1.0 / (m - 1) - 2.0 * _eps(m)) / m
 
 
 def _rate_gv(d, p):
@@ -244,13 +239,13 @@ def _hi_gv(p):
 
 
 _FAMILIES = {
-    "P1a": _Family("P1a", _check_even(1), _rate_c5, _hi_c5),
-    "C5": _Family("C5", _check_even(1), _rate_c5, _hi_c5),
-    "P1b": _Family("P1b", _check_odd(2), _rate_c6, _hi_c6),
-    "C6": _Family("C6", _check_odd(2), _rate_c6, _hi_c6),
-    "C7": _Family("C7", _check_even(3), _rate_c7, _hi_c7, hi_open=True),
-    "C8": _Family("C8", _check_odd(4), _rate_c8, _hi_c8),
-    "GV": _Family("GV", _check_gv, _rate_gv, _hi_gv),
+    "P1a": _Family(_check_m(0, 1), _rate_c5, _hi_c5),
+    "C5": _Family(_check_m(0, 1), _rate_c5, _hi_c5),
+    "P1b": _Family(_check_m(1, 2), _rate_c6, _hi_c6),
+    "C6": _Family(_check_m(1, 2), _rate_c6, _hi_c6),
+    "C7": _Family(_check_m(0, 3), _rate_c7, _hi_c7, hi_open=True),
+    "C8": _Family(_check_m(1, 4), _rate_c8, _hi_c8),
+    "GV": _Family(_check_gv, _rate_gv, _hi_gv),
 }
 
 
@@ -364,14 +359,6 @@ def envelope_curve(deltas, members) -> BoundCurve:
             samples.append((d, max(rates)))
     hi = max(f.domain_hi(p) for f, p in checked)
     return BoundCurve("envelope", (), tuple(samples), (0.0, hi))
-
-
-def eacqc_rate_bounds(family: str, deltas, m_range=None, **params) -> BoundCurve:
-    """Sampled rate curve for one family, or (with m_range) the envelope over m."""
-    if m_range is not None:
-        members = [(family, {**params, "m": m}) for m in m_range]
-        return envelope_curve(deltas, members)
-    return sample_curve(family, deltas, **params)
 
 
 def curves_to_csv(deltas, curves, extra_columns=()) -> str:

@@ -25,7 +25,6 @@ from .errors import BadFamilyParams, EaqecError, ParseError
 if TYPE_CHECKING:
     from .codes import ClassicalCode
     from .eaqecc import EaqeccParams
-    from .ensemble import EnsembleSpec
     from .matrix import MatrixGF
 
 
@@ -75,18 +74,6 @@ def read_matrix_file(path: str) -> MatrixGF:
         return MatrixGF(spec, rows)
     except EaqecError as e:
         raise ParseError(f"{path}: {e}") from None
-
-
-def _parse_ensemble_spec(text: str) -> EnsembleSpec:
-    from .ensemble import EnsembleSpec
-
-    try:
-        parts = [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ParseError(f"bad ensemble spec {text!r}") from None
-    if len(parts) not in (4, 6):
-        raise ParseError("ensemble spec needs 'n1,k1,n2,k2' or 'n1,k1,n2,k2,c1,c2'")
-    return EnsembleSpec(*parts)
 
 
 class _Out:
@@ -250,15 +237,17 @@ def _parse_m_range(text: str) -> range:
 
 
 def cmd_bounds(args, out: _Out) -> int:
-    from .bounds import curves_to_csv, delta_grid, eacqc_rate_bounds, sample_curve
+    from .bounds import MAX_M, curves_to_csv, delta_grid, envelope_curve, sample_curve
 
     grid = delta_grid(args.delta_step, min(args.delta_max, 0.75))
     curves = []
     if args.family == "GV":
         curves.append(sample_curve("GV", grid, ce=args.ce))
     elif args.m_range is not None:
+        m_range = _parse_m_range(args.m_range)
         valid = []
-        for m in _parse_m_range(args.m_range):
+        # every m outside [1, MAX_M] fails every family's check
+        for m in range(max(m_range.start, 1), min(m_range.stop, MAX_M + 1)):
             try:
                 curves.append(sample_curve(args.family, grid, m=m))
                 valid.append(m)
@@ -266,7 +255,7 @@ def cmd_bounds(args, out: _Out) -> int:
                 continue
         if not valid:
             raise BadFamilyParams(f"no valid m for {args.family} in {args.m_range}")
-        curves.append(eacqc_rate_bounds(args.family, grid, m_range=valid))
+        curves.append(envelope_curve(grid, [(args.family, {"m": m}) for m in valid]))
     elif args.m is not None:
         curves.append(sample_curve(args.family, grid, m=args.m))
     else:
@@ -284,10 +273,11 @@ def cmd_bounds(args, out: _Out) -> int:
 
 def cmd_gv(args, out: _Out) -> int:
     from .bounds import gv_root_x0
-    from .ensemble import theorem2_probability_bound
+    from .ensemble import parse_spec, theorem2_probability_bound
 
-    spec = _parse_ensemble_spec(args.spec)
+    spec = parse_spec(args.spec)
     x0 = gv_root_x0(spec.rate, spec.ea_rate)
+    b = None if args.delta is None else theorem2_probability_bound(spec, args.delta)
     out.line(
         f"spec n1={spec.n1} k1={spec.k1} n2={spec.n2} k2={spec.k2} "
         f"c1={spec.c1} c2={spec.c2}: R_e={spec.rate:.6g} C_e={spec.ea_rate:.6g} "
@@ -301,8 +291,7 @@ def cmd_gv(args, out: _Out) -> int:
         "C_e": spec.ea_rate,
         "x0": x0,
     }
-    if args.delta is not None:
-        b = theorem2_probability_bound(spec, args.delta)
+    if b is not None:
         out.line(
             f"delta_e={args.delta:.6g}: log2_bound={b.log2:.6f} tau={b.tau:.6f} "
             f"c={b.c_const:.6f} prefactor={b.prefactor:.6f}"

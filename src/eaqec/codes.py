@@ -24,6 +24,9 @@ DEFAULT_BUDGET = 1 << 24
 # Entries (words x length) in min_distance's table of low-row combinations.
 _SPAN_ENTRIES = 1 << 20
 
+# Budget of singleton_defect's dual-distance search (the NMDS test).
+_DUAL_BUDGET = 1 << 16
+
 
 @dataclass(frozen=True)
 class Distance:
@@ -68,12 +71,18 @@ class Distance:
             return f">={self.value}"
         return "?"
 
+    @classmethod
+    def parse(cls, token: str) -> "Distance":
+        """Inverse of render() for known distances: 'd' is exact, '>=d' a bound."""
+        if token.startswith(">="):
+            return cls.lower_bound(int(token[2:]))
+        return cls.exact(int(token))
+
 
 class ClassicalCode:
     __slots__ = ("spec", "n", "k", "G", "H", "distance")
 
-    def __init__(self, spec: FieldSpec, G: MatrixGF, H: MatrixGF,
-                 distance: Distance = Distance.unknown()):
+    def __init__(self, spec: FieldSpec, G: MatrixGF, H: MatrixGF):
         if G.spec != spec or H.spec != spec:
             raise FieldMismatch("generator/parity field does not match the code field")
         if G.cols != H.cols:
@@ -94,7 +103,7 @@ class ClassicalCode:
         self.k = k
         self.G = G
         self.H = H
-        self.distance = distance
+        self.distance = Distance.unknown()
 
     @classmethod
     def _trusted(cls, G: MatrixGF, H: MatrixGF, distance: Distance) -> "ClassicalCode":
@@ -113,24 +122,21 @@ class ClassicalCode:
         return code
 
     @classmethod
-    def from_generator(cls, G: MatrixGF, distance: Distance = Distance.unknown()) -> "ClassicalCode":
+    def from_generator(cls, G: MatrixGF) -> "ClassicalCode":
         rank, H = G.rank_and_nullspace()
         if rank != G.rows:
             raise ValueError("generator is not full rank")
-        return cls._trusted(G, H, distance)
+        return cls._trusted(G, H, Distance.unknown())
 
     @classmethod
-    def from_parity_check(cls, H: MatrixGF, distance: Distance = Distance.unknown()) -> "ClassicalCode":
+    def from_parity_check(cls, H: MatrixGF) -> "ClassicalCode":
         rank, G = H.rank_and_nullspace()
         if rank != H.rows:
             raise ValueError("parity check is not full rank")
-        return cls._trusted(G, H, distance)
+        return cls._trusted(G, H, Distance.unknown())
 
     def with_distance(self, distance: Distance) -> "ClassicalCode":
         return ClassicalCode._trusted(self.G, self.H, distance)
-
-    def params(self) -> tuple[int, int, Distance]:
-        return (self.n, self.k, self.distance)
 
     def __repr__(self):
         return f"[{self.n},{self.k},{self.distance.render()}]_{self.spec.q}"
@@ -235,7 +241,7 @@ class SingletonClass:
     from_bound: bool
 
 
-def singleton_defect(code: ClassicalCode, dual_budget: int = 1 << 16) -> SingletonClass:
+def singleton_defect(code: ClassicalCode) -> SingletonClass:
     """Singleton defect h = n - k + 1 - d with its standard class label.
 
     Labels: MDS (h=0), AMDS (h=1), NMDS (h=1 and the dual's exact defect is
@@ -253,7 +259,7 @@ def singleton_defect(code: ClassicalCode, dual_budget: int = 1 << 16) -> Singlet
     elif h == 1:
         label = "AMDS"
         if d.is_exact and code.k > 0 and code.n - code.k > 0:
-            dd = min_distance(dual(code), budget=dual_budget)
+            dd = min_distance(dual(code), budget=_DUAL_BUDGET)
             if dd.is_exact and (code.k + 1 - dd.value) == 1:
                 label = "NMDS"
     else:
@@ -268,7 +274,7 @@ def random_code(spec: FieldSpec, n: int, k: int, rng: random.Random) -> Classica
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if k == 0:
-        return ClassicalCode(spec, MatrixGF.zeros(spec, 0, n), MatrixGF.identity(spec, n))
+        return ClassicalCode.from_generator(MatrixGF.zeros(spec, 0, n))
     while True:
         g = MatrixGF(spec, [[rng.randrange(spec.q) for _ in range(n)] for _ in range(k)])
         rank, h = g.rank_and_nullspace()

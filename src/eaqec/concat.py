@@ -168,11 +168,7 @@ def _parse_tuple(tok: str, where: str) -> TableTuple:
         ktok = parts[1]
         k_is_net = ktok.endswith("*")
         k = int(ktok[:-1] if k_is_net else ktok)
-        dtok = parts[2]
-        if dtok.startswith(">="):
-            d = Distance.lower_bound(int(dtok[2:]))
-        else:
-            d = Distance.exact(int(dtok))
+        d = Distance.parse(parts[2])
         c = None if parts[3] == "?" else int(parts[3])
         q = int(parts[4])
     except ValueError as e:

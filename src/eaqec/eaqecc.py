@@ -148,14 +148,11 @@ def _dimension_route(dual_gen: MatrixGF, gen: MatrixGF) -> int:
     """c as dim(D) - dim(D ∩ C), D and C the row spaces of the two matrices.
 
     Both come from codes and are full rank (a parity check or its conjugate,
-    and a generator), so their ranks are their row counts and only the
-    stacked matrix is eliminated.
+    and a generator), so their ranks are their row counts and
+    dim(D ∩ C) = dim(D) + dim(C) - rank(D over C): one elimination, of the
+    stacked matrix.
     """
-    from .matrix import rowspace_intersection_dim
-
-    return dual_gen.rows - rowspace_intersection_dim(
-        dual_gen, gen, dual_gen.rows, gen.rows
-    )
+    return dual_gen.stack(gen).rank() - gen.rows
 
 
 def _agree(by_rank: int, by_dim: int) -> int:
@@ -228,7 +225,7 @@ def hermitian_construct(code: ClassicalCode, q0: int) -> EaqeccParams:
     )
 
 
-def parse_params(text: str, provenance: object | None = None) -> EaqeccParams:
+def parse_params(text: str) -> EaqeccParams:
     """Parse 'n,k,d,c,q' (d may carry a '>=' prefix) into a parameter tuple."""
     from .errors import ParseError
 
@@ -238,17 +235,13 @@ def parse_params(text: str, provenance: object | None = None) -> EaqeccParams:
     try:
         n = int(parts[0])
         k = int(parts[1])
-        dtok = parts[2]
-        if dtok.startswith(">="):
-            d = Distance.lower_bound(int(dtok[2:]))
-        else:
-            d = Distance.exact(int(dtok))
+        d = Distance.parse(parts[2])
         c = int(parts[3])
         q = int(parts[4])
     except ValueError as e:
         raise ParseError(f"bad parameter tuple {text!r}: {e}") from None
     try:
-        return EaqeccParams(q=q, n=n, k=k, d=d, c=c, provenance=provenance)
+        return EaqeccParams(q=q, n=n, k=k, d=d, c=c)
     except (ValueError, DistanceUnknown) as e:
         raise ParseError(f"bad parameter tuple {text!r}: {e}") from None
 

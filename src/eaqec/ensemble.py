@@ -29,7 +29,7 @@ from itertools import product as iproduct
 from typing import TYPE_CHECKING
 
 from .bounds import entropy_q4
-from .errors import DomainError, TooLarge
+from .errors import DomainError, ParseError, TooLarge
 
 if TYPE_CHECKING:
     import numpy as np
@@ -208,6 +208,17 @@ class EnsembleSpec:
         return self.rate - self.ea_rate
 
 
+def parse_spec(text: str) -> EnsembleSpec:
+    """Parse 'n1,k1,n2,k2' or 'n1,k1,n2,k2,c1,c2' into an EnsembleSpec."""
+    try:
+        parts = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ParseError(f"bad ensemble spec {text!r}") from None
+    if len(parts) not in (4, 6):
+        raise ParseError("ensemble spec needs 'n1,k1,n2,k2' or 'n1,k1,n2,k2,c1,c2'")
+    return EnsembleSpec(*parts)
+
+
 def _log2_1p_pow(log2_term: float) -> float:
     """log2(1 + 2^log2_term), stable for large |log2_term|."""
     if log2_term > 48.0:
@@ -271,12 +282,18 @@ def theorem2_probability_bound(spec: EnsembleSpec, delta_e: float) -> Theorem2Bo
 
     Also reports tau = 4^(1-R1) * (1-delta_e) and the proof constant
     c = tau^n1 * n2; the prefactor (1-delta)/(1-2*delta) forces delta_e < 1/2.
+    A c that overflows binary64 is refused with DomainError.
     """
     if not 0.0 < delta_e < 0.5:
         raise DomainError(f"delta_e must lie in (0, 1/2), got {delta_e}")
+    tau = 4.0 ** (spec.r1 / spec.n1) * (1.0 - delta_e)
+    log2_c = spec.n1 * math.log2(tau) + math.log2(spec.n2)
+    if log2_c >= 1024:
+        raise DomainError(
+            f"the constant c = tau^n1 * n2 is 2^{log2_c:.6g}, beyond binary64"
+        )
     prefactor = (1.0 - delta_e) / (1.0 - 2.0 * delta_e)
     log2 = math.log2(prefactor) + avg_codeword_bound(spec, delta_e)
-    tau = 4.0 ** (spec.r1 / spec.n1) * (1.0 - delta_e)
     c_const = tau**spec.n1 * spec.n2
     return Theorem2Bound(log2=log2, tau=tau, c_const=c_const, prefactor=prefactor)
 

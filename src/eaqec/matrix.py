@@ -44,10 +44,6 @@ class MatrixGF:
     def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "MatrixGF":
         return cls._wrap(spec, np.zeros((rows, cols), dtype=np.int64))
 
-    @classmethod
-    def identity(cls, spec: FieldSpec, n: int) -> "MatrixGF":
-        return cls._wrap(spec, np.eye(n, dtype=np.int64))
-
     def array(self) -> np.ndarray:
         """Read-only view of the underlying encoded-entry array."""
         return self._a
@@ -168,23 +164,3 @@ class MatrixGF:
         if pivots and free:
             basis[:, list(pivots)] = self.spec.vneg(R._a[: len(pivots)][:, free].T)
         return len(pivots), MatrixGF._wrap(self.spec, basis)
-
-
-def rowspace_intersection_dim(a: MatrixGF, b: MatrixGF,
-                              rank_a: int | None = None,
-                              rank_b: int | None = None) -> int:
-    """dim(rowspace(a) ∩ rowspace(b)) = rank(a) + rank(b) - rank(a over b).
-
-    A caller that already knows rank(a) or rank(b) (a code's generator and
-    parity check have known ranks) passes it in, so that only the stacked
-    matrix is eliminated.
-    """
-    if a.spec != b.spec:
-        raise FieldMismatch(f"{a.spec!r} vs {b.spec!r}")
-    if a.cols != b.cols:
-        raise DimensionMismatch(f"column counts differ: {a.cols} vs {b.cols}")
-    if rank_a is None:
-        rank_a = a.rank()
-    if rank_b is None:
-        rank_b = b.rank()
-    return rank_a + rank_b - a.stack(b).rank()

@@ -11,7 +11,6 @@ from eaqec.bounds import (
     LOG4_3,
     amds_length_bound,
     curves_to_csv,
-    eacqc_rate_bounds,
     eaq_length_bounds,
     entropy_q4,
     envelope_curve,
@@ -315,13 +314,6 @@ class TestCurves:
     def test_envelope_needs_members(self):
         with pytest.raises(BadFamilyParams):
             envelope_curve(GRID, [])
-
-    def test_eacqc_rate_bounds_dispatch(self):
-        single = eacqc_rate_bounds("C5", GRID, m=4)
-        assert single.family == "C5"
-        env = eacqc_rate_bounds("C5", GRID, m_range=(4, 6, 8))
-        assert env.family == "envelope"
-        assert dict(env.samples)[0.0] == rate_value("C5", 0.0, m=8)
 
 
 class TestCsv:

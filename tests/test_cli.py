@@ -1,11 +1,15 @@
 """End-to-end CLI runs, in process via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from eaqec.bounds import gv_root_x0, rate_value
+from eaqec.bounds import MAX_M, gv_root_x0, rate_value
 from eaqec.cli import main, read_matrix_file
 from eaqec.eaqecc import parse_params
 from eaqec.errors import ParseError
@@ -36,6 +40,16 @@ def write(tmp_path, name, text):
 
 def records(lines):
     return [json.loads(ln) for ln in lines if ln.startswith("{")]
+
+
+def run_fresh(argv):
+    """`python -m eaqec ARGV` in a fresh interpreter; a spin fails on the timeout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "eaqec", *argv],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
 
 
 class TestBannerAndJson:
@@ -377,6 +391,25 @@ class TestBounds:
         assert code == 3 and lines == []
         assert err.startswith("error: DomainError") and "cap 1000000" in err
 
+    def test_m_above_the_cap(self):
+        # 2 ** (m // 2) no longer converts to a float beyond the cap
+        proc = run_fresh(["bounds", "--family", "C5", "--m", "100000000", "--quiet"])
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == f"error: BadFamilyParams: m = 100000000 exceeds the cap {MAX_M}\n"
+
+    @pytest.mark.parametrize(
+        "m_range, same_as",
+        [("4..100000000", f"4..{MAX_M}"), ("-100000000..4", "1..4")],
+    )
+    def test_m_range_walks_only_the_capped_m(self, capsys, m_range, same_as):
+        # --m-range=... because argparse reads a leading '-' as a flag
+        proc = run_fresh(["bounds", "--family", "C5", f"--m-range={m_range}", "--quiet"])
+        assert proc.returncode == 0, proc.stderr
+        code, lines, _ = run(capsys, ["bounds", "--family", "C5", "--m-range", same_as,
+                                      "--quiet"])
+        assert code == 0
+        assert proc.stdout.splitlines() == lines
+
     def test_extra_columns(self, capsys):
         code, lines, _ = run(
             capsys,
@@ -433,6 +466,16 @@ class TestGv:
         code, _, err = run(capsys, ["gv", "--spec", "4,2,8,4,9,0"])
         assert code == 3
         assert err.startswith("error: DomainError")
+
+    @pytest.mark.parametrize(
+        "spec", ["1000000000000,2,8,4", "670,1,10000000000,1"]
+    )
+    def test_constant_beyond_binary64_exits_3(self, capsys, spec):
+        # tau^n1 overflows for the first; for the second only tau^n1 * n2 does
+        code, lines, err = run(capsys, ["gv", "--spec", spec, "--delta", "0.3",
+                                        "--quiet", "--json"])
+        assert code == 3 and lines == []
+        assert err.startswith("error: DomainError") and "beyond binary64" in err
 
 
 class TestMindist:

@@ -16,9 +16,10 @@ from eaqec.codes import (
     random_code,
     singleton_defect,
 )
+from eaqec.eaqecc import css_entanglement
 from eaqec.errors import BudgetInvalid, DistanceUnknown, FieldMismatch
 from eaqec.gf import FieldSpec
-from eaqec.matrix import MatrixGF, rowspace_intersection_dim
+from eaqec.matrix import MatrixGF
 
 GF2 = FieldSpec(2, 1)
 GF3 = FieldSpec(3, 1)
@@ -68,6 +69,11 @@ class TestDistance:
         assert Distance.lower_bound(4).is_known
         assert not Distance.lower_bound(4).is_exact
         assert not Distance.unknown().is_known
+        for d in (Distance.exact(3), Distance.lower_bound(4), Distance.exact(12)):
+            assert Distance.parse(d.render()) == d
+        for token in ("0", ">=0", "x"):
+            with pytest.raises(ValueError):
+                Distance.parse(token)
 
     def test_require(self):
         assert Distance.exact(5).require() == 5
@@ -349,9 +355,9 @@ class TestDuals:
                 n = rng.randrange(3, 6)
                 k = rng.randrange(1, n)
                 code = random_code(spec, n, k, rng)
-                got = rowspace_intersection_dim(code.G, code.H)
                 hull = span(code) & span(dual(code))
-                assert len(hull) == spec.q ** got
+                # c = dim(dual) - dim(hull) for the CSS pairing of a code with itself
+                assert len(hull) == spec.q ** (n - k - css_entanglement(code, code))
 
 
 class TestSingletonClass:

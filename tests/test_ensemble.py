@@ -360,6 +360,16 @@ class TestTheorem2:
         ]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_constant_beyond_binary64_refused(self):
+        # c = tau^n1 * n2: tau^n1 overflows for the first spec, and only the
+        # product with n2 for the second
+        for spec in (EnsembleSpec(10**12, 2, 8, 4), EnsembleSpec(670, 1, 10**10, 1)):
+            with pytest.raises(DomainError, match="beyond binary64"):
+                theorem2_probability_bound(spec, 0.3)
+        # just below 2^1024 the constant is finite
+        c = theorem2_probability_bound(EnsembleSpec(670, 1, 10**9, 1), 0.3).c_const
+        assert math.isfinite(c) and c > 2.0**1000
+
     def test_consistent_with_avg_bound(self):
         spec = EnsembleSpec(4, 2, 8, 4)
         out = theorem2_probability_bound(spec, 0.3)

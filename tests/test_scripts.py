@@ -74,3 +74,20 @@ def test_worked_example(tmp_path):
     assert "class=52-EAQMDS maximal=no" in lines[2]
     assert lines[3].startswith("extended (+2)          [[102,26,>=24;24]]_2")
     assert lines[4].startswith("expurgated (-3)        [[97,26,>=24;27]]_2    net=-1")
+
+
+def test_run_ensemble_checks_rejects_bad_input_before_enumerating(tmp_path):
+    cases = [
+        (["--spec", "4,2,8"], "ensemble spec needs"),
+        (["--spec", "4,x,8,4"], "bad ensemble spec"),
+        (["--spec", "4,5,8,4"], "need 1 <= k <= n"),
+        (["--deltas", "0.1,x"], "could not convert"),
+        (["--deltas", "0.1,0.5"], "delta_e must lie in (0, 1/2)"),
+        (["--spec", "670,1,10000000000,1"], "beyond binary64"),
+    ]
+    for args, message in cases:
+        proc = run_script("run_ensemble_checks.py", *args, cwd=tmp_path)
+        # exit 1 is kept for a failed identity; usage errors are argparse's 2
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
