@@ -91,6 +91,8 @@ class EaqeccParams:
             raise ValueError(f"entanglement count must be >= 0, got {self.c}")
         if not self.d.is_known:
             raise DistanceUnknown("EaqeccParams needs an exact distance or a bound")
+        if self.d.value > self.n:
+            raise ValueError(f"distance {self.d.value} exceeds the length {self.n}")
         if self.provenance is not None and self.c > self.n - self.k:
             raise ValueError(
                 f"constructed code violates c <= n - k: c={self.c}, n-k={self.n - self.k}"

@@ -37,6 +37,8 @@ if TYPE_CHECKING:
 _MAX_COEFFS = 10**4
 _MAX_ENSEMBLE = 1 << 24
 _MAX_VECTOR_SPACE = 1 << 20
+# nt_w_bruteforce walks its index range in chunks of this many vectors
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,23 @@ def nt_w_bruteforce(n1: int, n2: int) -> np.ndarray:
     """Exhaustive (t, w) table over all 4^(n1*n2) quaternary vectors.
 
     Entry [t, w] counts vectors of weight w with exactly t nonzero blocks;
-    must match psi_t coefficients exactly.  Each vector is its index in
-    [0, 4^(n1*n2)), 2 bits per coordinate and n1 coordinates per block;
-    folding each pair onto its low bit marks the nonzero coordinates, so w is
-    a popcount and a block is nonzero when its mask meets the marks.
+    must match psi_t coefficients exactly.  Every vector is visited and
+    counted from its own coordinates; psi_t is never consulted.
+
+    Each vector is its index in [0, 4^(n1*n2)), 2 bits per coordinate and
+    n1 coordinates (2*n1 bits) per block.  Folding each pair onto its low
+    bit, marks = (x | x >> 1) & 0x55..55, marks the nonzero coordinates, so
+    w = popcount(marks).  A block's marks sit on even bits below its top
+    (odd) bit, which marks never sets.  Adding 2^(2*n1-1) - 1 to every block
+    carries into that top bit exactly when the block has a mark, and the sum
+    stays below 2^(2*n1), so no carry reaches the next block: t is the
+    popcount of the top bits of marks + fill.  That is three array ops for
+    any block count (Warren, Hacker's Delight, 2nd ed., section 6-1).
+
+    The range is walked in chunks of _CHUNK indices through reused uint32
+    buffers.  The bincount key t * (ne + 1) + w stays in uint8: the
+    _MAX_ENSEMBLE cap of 2^24 vectors bounds ne by 12, so the key is at
+    most 12*13 + 12 = 168 < 256.
     """
     import numpy as np
 
@@ -116,18 +131,26 @@ def nt_w_bruteforce(n1: int, n2: int) -> np.ndarray:
     total = 4**ne
     if total > _MAX_ENSEMBLE:
         raise TooLarge(f"4^{ne} vectors exceed the enumeration cap")
+    span = 2 * n1
+    fill = np.uint32(sum(((1 << span - 1) - 1) << span * j for j in range(n2)))
+    guards = np.uint32(sum(1 << span * j + span - 1 for j in range(n2)))
     low_bits = np.uint32(0x55555555)
-    block = (1 << 2 * n1) - 1
-    masks = [low_bits & np.uint32(block << 2 * n1 * j) for j in range(n2)]
+    width = np.uint8(ne + 1)
     table = np.zeros((n2 + 1) * (ne + 1), dtype=np.int64)
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        x = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        marks = (x | (x >> 1)) & low_bits
-        t = np.zeros(x.size, dtype=np.uint8)
-        for mask in masks:
-            t += (marks & mask) != 0
-        key = t.astype(np.intp) * (ne + 1) + np.bitwise_count(marks)
+    step = min(_CHUNK, total)
+    base = np.arange(step, dtype=np.uint32)
+    x = np.empty(step, dtype=np.uint32)
+    marks = np.empty(step, dtype=np.uint32)
+    for start in range(0, total, step):
+        np.add(base, np.uint32(start), out=x)
+        np.right_shift(x, 1, out=marks)
+        np.bitwise_or(marks, x, out=marks)
+        np.bitwise_and(marks, low_bits, out=marks)
+        np.add(marks, fill, out=x)
+        np.bitwise_and(x, guards, out=x)
+        key = np.bitwise_count(x)
+        key *= width
+        key += np.bitwise_count(marks)
         table += np.bincount(key, minlength=table.size)
     return table.reshape(n2 + 1, ne + 1)
 

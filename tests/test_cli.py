@@ -138,6 +138,15 @@ class TestConstructions:
         assert lines == []
         assert err.startswith("error: ParseError") and "exceeds the length" in err
 
+    @pytest.mark.parametrize("inner", ["4,2,9,0,2", "4,2,>=5,0,2"])
+    def test_concat_rejects_distance_above_length(self, capsys, inner):
+        code, lines, err = run(
+            capsys, ["concat", "--inner", inner, "--outer", "25,13,12,12,4", "--quiet"]
+        )
+        assert code == 2
+        assert lines == []
+        assert err.startswith("error: ParseError") and "exceeds the length 4" in err
+
     def test_css_field_mismatch(self, capsys, tmp_path):
         rep = write(tmp_path, "rep.txt", REP2)
         herm = write(tmp_path, "herm.txt", HERM3)

@@ -83,6 +83,13 @@ class TestParams:
         # k == n is possible (the whole space, d = 1)
         assert EaqeccParams(q=2, n=3, k=3, d=Distance.exact(1), c=0).net == 3
 
+    @pytest.mark.parametrize("d", [Distance.exact(5), Distance.lower_bound(5)])
+    def test_distance_above_length_rejected(self, d):
+        with pytest.raises(ValueError, match="distance 5 exceeds the length 4"):
+            EaqeccParams(q=2, n=4, k=0, d=d, c=1)
+        # d == n is possible (the repetition code)
+        assert EaqeccParams(q=2, n=4, k=1, d=Distance.exact(4), c=0).d.value == 4
+
     def test_constructed_code_caps_c(self):
         # any non-None provenance turns on the c <= n - k check
         with pytest.raises(ValueError, match="c <= n - k"):

@@ -8,12 +8,14 @@ part at a time.  Everything is exact rationals.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
 
 import numpy as np
 import pytest
 
+from eaqec import ensemble
 from eaqec.ensemble import (
     ClassStat,
     EnsembleSpec,
@@ -192,7 +194,14 @@ class TestBruteforceTable:
     def test_matches_per_vector_reference(self, n1, n2):
         assert nt_w_bruteforce(n1, n2).tolist() == nt_w_per_vector(n1, n2)
 
-    @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 2), (3, 2), (2, 3), (1, 5)])
+    @pytest.mark.parametrize("n1,n2", SMALL_SIZES + [(1, 7), (7, 1)])
+    def test_matches_reference_across_many_chunks(self, monkeypatch, n1, n2):
+        # 16-vector chunks: every size above ne = 2 spans several chunks,
+        # so chunk offsets and the last chunk are exercised
+        monkeypatch.setattr(ensemble, "_CHUNK", 16)
+        assert nt_w_bruteforce(n1, n2).tolist() == nt_w_per_vector(n1, n2)
+
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 2), (3, 2), (2, 3), (1, 5), (3, 3)])
     def test_matches_psi(self, n1, n2):
         table = nt_w_bruteforce(n1, n2)
         assert table.shape == (n2 + 1, n1 * n2 + 1)
@@ -201,6 +210,16 @@ class TestBruteforceTable:
             for w in range(n1 * n2 + 1):
                 assert table[t, w] == poly.coefficient(w)
         assert int(table.sum()) == 4 ** (n1 * n2)
+
+    def test_memory_bounded(self):
+        # 4^12 vectors through reused chunk buffers, not whole-range temporaries
+        tracemalloc.start()
+        try:
+            nt_w_bruteforce(2, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_caps(self):
         with pytest.raises(TooLarge):
