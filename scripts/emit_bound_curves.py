@@ -32,7 +32,7 @@ def main(argv=None) -> int:
     except DomainError as e:
         ap.error(str(e))
     curves = [sample_curve(f, grid, **p) for f, p in MEMBERS]
-    curves.append(envelope_curve(grid, MEMBERS))
+    curves.append(envelope_curve(curves))
     csv = curves_to_csv(
         grid, curves, extra_columns=("external_lower", "external_upper")
     )

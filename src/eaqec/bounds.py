@@ -286,7 +286,6 @@ class BoundCurve:
     family: str
     params: tuple[tuple[str, float], ...]
     samples: tuple[tuple[float, float], ...]
-    domain: tuple[float, float]
 
     def label(self) -> str:
         if not self.params:
@@ -295,27 +294,26 @@ class BoundCurve:
         return f"{self.family}[{inner}]"
 
 
-# Most points delta_grid builds; larger grids are refused before any work.
-_MAX_GRID_POINTS = 10**6
+# Most samples a run may take: the points of one grid, or grid points times
+# curves over an m range.  Larger requests are refused before any work.
+MAX_SAMPLES = 10**6
 
 
 def delta_grid(step: float, top: float) -> list[float]:
-    """The sampling grid 0, step, 2*step, ... up to top (within 1e-15)."""
+    """The sampling grid 0, step, 2*step, ... up to top (within a relative 1e-12)."""
     if not (math.isfinite(step) and step > 0):
         raise DomainError(f"delta step must be positive and finite, got {step:g}")
     if not (math.isfinite(top) and top >= 0):
         raise DomainError(f"delta max must be non-negative and finite, got {top:g}")
-    if top / step >= _MAX_GRID_POINTS:
+    # the grid has floor(span) + 1 points; the factor keeps a top that is a
+    # rounding error short of a multiple of step on the grid
+    span = top / step * (1 + 1e-12)
+    if span >= MAX_SAMPLES:
         raise DomainError(
-            f"delta step {step:g} gives {top / step + 1:.3g} "
-            f"grid points, above the cap {_MAX_GRID_POINTS}"
+            f"delta step {step:g} gives {span + 1:.3g} "
+            f"grid points, above the cap {MAX_SAMPLES}"
         )
-    grid = []
-    i = 0
-    while i * step <= top + 1e-15:
-        grid.append(i * step)
-        i += 1
-    return grid
+    return [i * step for i in range(math.floor(span) + 1)]
 
 
 def _check_grid(deltas) -> tuple[float, ...]:
@@ -337,28 +335,20 @@ def sample_curve(family: str, deltas, **params) -> BoundCurve:
         family=family,
         params=tuple(sorted(params.items())),
         samples=samples,
-        domain=(0.0, fam.domain_hi(params)),
     )
 
 
-def envelope_curve(deltas, members) -> BoundCurve:
-    """Pointwise maximum over (family, params) members; points with no member in
-    domain are dropped."""
-    grid = _check_grid(deltas)
-    checked = []
-    for family, params in members:
-        fam = _family(family)
-        fam.check(params)
-        checked.append((fam, dict(params)))
-    if not checked:
+def envelope_curve(curves) -> BoundCurve:
+    """Pointwise maximum of sampled curves, in delta order; a delta that no
+    curve samples is dropped."""
+    if not curves:
         raise BadFamilyParams("envelope needs at least one member")
-    samples = []
-    for d in grid:
-        rates = [f.rate(d, p) for f, p in checked if _in_domain(f, p, d)]
-        if rates:
-            samples.append((d, max(rates)))
-    hi = max(f.domain_hi(p) for f, p in checked)
-    return BoundCurve("envelope", (), tuple(samples), (0.0, hi))
+    best: dict[float, float] = {}
+    for curve in curves:
+        for d, r in curve.samples:
+            if d not in best or r > best[d]:
+                best[d] = r
+    return BoundCurve("envelope", (), tuple(sorted(best.items())))
 
 
 def curves_to_csv(deltas, curves, extra_columns=()) -> str:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .codes import DEFAULT_BUDGET
-from .errors import BadFamilyParams, EaqecError, ParseError
+from .errors import BadFamilyParams, DomainError, EaqecError, ParseError
 
 # Each subcommand imports the layers it calls, so that only the ones that
 # read matrix files (css, hermitian, mindist) load numpy.
@@ -237,7 +237,14 @@ def _parse_m_range(text: str) -> range:
 
 
 def cmd_bounds(args, out: _Out) -> int:
-    from .bounds import MAX_M, curves_to_csv, delta_grid, envelope_curve, sample_curve
+    from .bounds import (
+        MAX_M,
+        MAX_SAMPLES,
+        curves_to_csv,
+        delta_grid,
+        envelope_curve,
+        sample_curve,
+    )
 
     grid = delta_grid(args.delta_step, min(args.delta_max, 0.75))
     curves = []
@@ -245,17 +252,21 @@ def cmd_bounds(args, out: _Out) -> int:
         curves.append(sample_curve("GV", grid, ce=args.ce))
     elif args.m_range is not None:
         m_range = _parse_m_range(args.m_range)
-        valid = []
         # every m outside [1, MAX_M] fails every family's check
-        for m in range(max(m_range.start, 1), min(m_range.stop, MAX_M + 1)):
+        ms = range(max(m_range.start, 1), min(m_range.stop, MAX_M + 1))
+        if len(ms) * len(grid) > MAX_SAMPLES:
+            raise DomainError(
+                f"{len(ms)} values of m on {len(grid)} grid points exceed "
+                f"the cap of {MAX_SAMPLES} samples"
+            )
+        for m in ms:
             try:
                 curves.append(sample_curve(args.family, grid, m=m))
-                valid.append(m)
             except BadFamilyParams:
                 continue
-        if not valid:
+        if not curves:
             raise BadFamilyParams(f"no valid m for {args.family} in {args.m_range}")
-        curves.append(envelope_curve(grid, [(args.family, {"m": m}) for m in valid]))
+        curves.append(envelope_curve(curves))
     elif args.m is not None:
         curves.append(sample_curve(args.family, grid, m=args.m))
     else:

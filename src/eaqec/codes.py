@@ -82,9 +82,9 @@ class Distance:
 class ClassicalCode:
     __slots__ = ("spec", "n", "k", "G", "H", "distance")
 
-    def __init__(self, spec: FieldSpec, G: MatrixGF, H: MatrixGF):
-        if G.spec != spec or H.spec != spec:
-            raise FieldMismatch("generator/parity field does not match the code field")
+    def __init__(self, G: MatrixGF, H: MatrixGF):
+        if G.spec != H.spec:
+            raise FieldMismatch(f"G over {G.spec!r}, H over {H.spec!r}")
         if G.cols != H.cols:
             raise ValueError("generator and parity check disagree on length")
         n = G.cols
@@ -98,7 +98,7 @@ class ClassicalCode:
         prod = G.mul(H.transpose())
         if prod.rows and prod.cols and prod.array().any():
             raise ValueError("G @ H.T != 0")
-        self.spec = spec
+        self.spec = G.spec
         self.n = n
         self.k = k
         self.G = G
@@ -170,20 +170,15 @@ def dual(code: ClassicalCode) -> ClassicalCode:
     return ClassicalCode._trusted(code.H, code.G, Distance.unknown())
 
 
-def hermitian_dual(code: ClassicalCode, q0: int) -> ClassicalCode:
-    """Dual under the form <u, v> = sum(u_i * v_i^q0), for codes over GF(q0^2).
+def hermitian_dual(code: ClassicalCode) -> ClassicalCode:
+    """Dual under the form <u, v> = sum(u_i * conj(v_i)), for codes over GF(r^2).
 
     Equals the entrywise conjugate of the ordinary dual, so its generator is
     the conjugated parity check of the input.  Conjugation is a field
-    automorphism, so it keeps both ranks and G @ H.T == 0.
+    automorphism, so it keeps both ranks and G @ H.T == 0.  Fields of odd
+    degree have no conjugation and raise FieldMismatch.
     """
-    if code.spec.q != q0 * q0:
-        raise FieldMismatch(f"code field {code.spec!r} is not GF({q0}^2)")
-    return ClassicalCode._trusted(
-        code.H.frobenius_map(q0),
-        code.G.frobenius_map(q0),
-        Distance.unknown(),
-    )
+    return ClassicalCode._trusted(code.H.conj(), code.G.conj(), Distance.unknown())
 
 
 def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:

@@ -45,11 +45,13 @@ TABLE_IDS = ("I", "II", "III", "IV")
 
 def concatenate(inner: EaqeccParams, outer: EaqeccParams) -> EaqeccParams:
     """Concatenate an inner q-ary block code with an outer code over GF(q^k1)."""
-    expected_q = inner.q ** inner.k
-    if outer.q != expected_q:
+    # q >= 2, so q^k1 >= 2^k1 > outer.q once k1 passes outer.q's bit length;
+    # that case is refused without taking the power, which may be astronomical
+    small = inner.k <= outer.q.bit_length()
+    if not (small and inner.q ** inner.k == outer.q):
+        value = f" = {inner.q ** inner.k}" if small else ""
         raise AlphabetMismatch(
-            f"outer alphabet must be q^k1 = {inner.q}^{inner.k} = {expected_q}, "
-            f"got {outer.q}"
+            f"outer alphabet must be q^k1 = {inner.q}^{inner.k}{value}, got {outer.q}"
         )
     d = inner.d.require() * outer.d.require()
     return EaqeccParams(
@@ -214,6 +216,13 @@ def parse_table_file(text: str) -> list[TableRow]:
         outer = _parse_tuple(fields[2], where)
         if not outer.k_is_net and outer.c is None:
             raise ParseError(f"{where}: outer tuple needs either plain k with c, or net k")
+        try:
+            # the components as derive_row builds them
+            _literal(inner)
+            for c2 in (0, 1) if outer.k_is_net else (None,):
+                _literal(outer, c_override=c2)
+        except ValueError as e:
+            raise ParseError(f"{where}: {e}") from None
         transform = _parse_transform(fields[3], where)
         published = _parse_tuple(fields[4], where)
         counters[table] += 1

@@ -200,15 +200,13 @@ def hermitian_entanglement(code: ClassicalCode, q0: int) -> int:
     """Entangled-pair count for the conjugate pairing of a code over GF(q0^2).
 
     Computed both as rank(H @ conj(H).T) and as dim(conjugate dual) minus
-    dim(conjugate dual ∩ C); the two must agree.  Each route eliminates one
-    matrix of its own, two eliminations in all.
+    dim(conjugate dual ∩ C); the two must agree.  H is conjugated once; each
+    route eliminates one matrix of its own, two eliminations in all.
     """
-    if code.spec.q != q0 * q0:
+    if not (q0 >= 2 and q0 * q0 == code.spec.q):
         raise FieldMismatch(f"code field {code.spec!r} is not GF({q0}^2)")
-    return _agree(
-        _rank_route(code.H, code.H.conj_transpose(q0)),
-        _dimension_route(code.H.frobenius_map(q0), code.G),
-    )
+    Hc = code.H.conj()
+    return _agree(_rank_route(code.H, Hc.transpose()), _dimension_route(Hc, code.G))
 
 
 def hermitian_construct(code: ClassicalCode, q0: int) -> EaqeccParams:

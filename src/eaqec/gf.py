@@ -20,12 +20,17 @@ are vectorized counterparts on numpy integer arrays; they are exact as well
 speed.  Each op has one path per field kind: XOR in characteristic 2, integer
 arithmetic mod p in prime fields, and lookup tables in extension fields (the
 multiplication and inverse tables, and in odd characteristic the addition and
-negation tables), built lazily on first use.  vsum reduces base-p digits.
-The scalar add/neg/mul/pow methods use no tables; they build the tables and
-are the reference that tests check the tables against.
+negation tables).  vsum reduces base-p digits.  vconj is the conjugation
+x -> x^r of an even-degree field GF(r^2), r = p^(m/2), which the Hermitian
+form uses; odd degrees raise FieldMismatch.  Each table is a constant of its
+field: a cached property, built on first use.  The scalar add/neg/mul/pow
+methods use no tables; they build the tables and are the reference that
+tests check the tables against.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -104,8 +109,6 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 class FieldSpec:
     """Immutable description of GF(p^m) with concrete arithmetic."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_modulus_int", "_cache")
-
     def __init__(self, p: int, m: int = 1, modulus=None):
         if not isinstance(p, int) or not is_prime(p):
             raise NotPrime(f"p must be prime, got {p!r}")
@@ -142,7 +145,6 @@ class FieldSpec:
         self.q = q
         self.modulus = modulus
         self._modulus_int = sum(c * p ** i for i, c in enumerate(modulus))
-        self._cache = {}
 
     # --- identity ---
 
@@ -264,89 +266,71 @@ class FieldSpec:
             raise DivisionByZero(f"0 has no inverse in {self!r}")
         if self.m == 1:
             return pow(a, -1, self.p)
-        return self._inv_table()[a]
+        return self._inv_table[a]
 
-    def frobenius(self, a: int, q0: int) -> int:
-        """a -> a^q0, for elements of GF(q0^2); fixes the GF(q0) subfield."""
-        if self.q != q0 * q0:
-            raise FieldMismatch(f"{self!r} is not a quadratic extension of GF({q0})")
-        return self.pow(a, q0)
+    # --- tables, each built on first use ---
 
-    # --- lazy tables for vectorized work ---
-
+    @cached_property
     def _explog(self):
         """exp/log arrays to a primitive element; extension fields only."""
-        tabs = self._cache.get("explog")
-        if tabs is None:
-            q, n = self.q, self.q - 1
-            factors = [f for f in range(2, n + 1) if n % f == 0 and is_prime(f)]
-            gen = next(
-                g for g in range(2, q) if all(self.pow(g, n // f) != 1 for f in factors)
-            )
-            exp = np.zeros(n, dtype=np.int64)
-            log = np.zeros(q, dtype=np.int64)
-            v = 1
-            for i in range(n):
-                exp[i] = v
-                log[v] = i
-                v = self.mul(v, gen)
-            tabs = (exp, log)
-            self._cache["explog"] = tabs
-        return tabs
+        q, n = self.q, self.q - 1
+        factors = [f for f in range(2, n + 1) if n % f == 0 and is_prime(f)]
+        gen = next(
+            g for g in range(2, q) if all(self.pow(g, n // f) != 1 for f in factors)
+        )
+        exp = np.zeros(n, dtype=np.int64)
+        log = np.zeros(q, dtype=np.int64)
+        v = 1
+        for i in range(n):
+            exp[i] = v
+            log[v] = i
+            v = self.mul(v, gen)
+        return exp, log
 
+    @cached_property
     def _mul_table(self):
-        t = self._cache.get("mul_table")
-        if t is None:
-            exp, log = self._explog()
-            li = log[1:]
-            t = np.zeros((self.q, self.q), dtype=np.int64)
-            t[1:, 1:] = exp[(li[:, None] + li[None, :]) % (self.q - 1)]
-            t.setflags(write=False)
-            self._cache["mul_table"] = t
+        exp, log = self._explog
+        li = log[1:]
+        t = np.zeros((self.q, self.q), dtype=np.int64)
+        t[1:, 1:] = exp[(li[:, None] + li[None, :]) % (self.q - 1)]
+        t.setflags(write=False)
         return t
 
+    @cached_property
     def _inv_table(self) -> tuple[int, ...]:
         """inv[a] for a != 0, as plain ints for scalar lookups; inv[0] is unused."""
-        t = self._cache.get("inv_table")
-        if t is None:
-            exp, log = self._explog()
-            inv = np.zeros(self.q, dtype=np.int64)
-            inv[1:] = exp[(-log[1:]) % (self.q - 1)]
-            t = tuple(inv.tolist())
-            self._cache["inv_table"] = t
-        return t
+        exp, log = self._explog
+        inv = np.zeros(self.q, dtype=np.int64)
+        inv[1:] = exp[(-log[1:]) % (self.q - 1)]
+        return tuple(inv.tolist())
 
+    @cached_property
     def _add_table(self):
-        t = self._cache.get("add_table")
-        if t is None:
-            digits = np.arange(self.q, dtype=np.int64)
-            t = np.zeros((self.q, self.q), dtype=np.int64)
-            pw = 1
-            for _ in range(self.m):
-                d = digits % self.p
-                t += ((d[:, None] + d[None, :]) % self.p) * pw
-                digits //= self.p
-                pw *= self.p
-            t.setflags(write=False)
-            self._cache["add_table"] = t
+        digits = np.arange(self.q, dtype=np.int64)
+        t = np.zeros((self.q, self.q), dtype=np.int64)
+        pw = 1
+        for _ in range(self.m):
+            d = digits % self.p
+            t += ((d[:, None] + d[None, :]) % self.p) * pw
+            digits //= self.p
+            pw *= self.p
+        t.setflags(write=False)
         return t
 
+    @cached_property
     def _neg_table(self):
-        t = self._cache.get("neg_table")
-        if t is None:
-            t = np.argmin(self._add_table(), axis=1)
-            t.setflags(write=False)
-            self._cache["neg_table"] = t
+        t = np.argmin(self._add_table, axis=1)
+        t.setflags(write=False)
         return t
 
-    def _frob_table(self, q0: int):
-        t = self._cache.get(("frob", q0))
-        if t is None:
-            if self.q != q0 * q0:
-                raise FieldMismatch(f"{self!r} is not a quadratic extension of GF({q0})")
-            t = np.array([self.pow(a, q0) for a in range(self.q)], dtype=np.int64)
-            t.setflags(write=False)
-            self._cache[("frob", q0)] = t
+    @cached_property
+    def _conj_table(self):
+        """x -> x^r, r = p^(m/2); needs an even degree m."""
+        if self.m % 2:
+            raise FieldMismatch(f"{self!r} is not a quadratic extension field")
+        r = self.p ** (self.m // 2)
+        t = np.array([self.pow(a, r) for a in range(self.q)], dtype=np.int64)
+        t.setflags(write=False)
         return t
 
     # --- vectorized arithmetic on numpy int arrays ---
@@ -356,26 +340,26 @@ class FieldSpec:
             return np.bitwise_xor(a, b)
         if self.m == 1:
             return (a + b) % self.p
-        return self._add_table()[a, b]
+        return self._add_table[a, b]
 
     def vneg(self, a):
         if self.p == 2:
             return np.asarray(a)
         if self.m == 1:
             return (self.p - np.asarray(a)) % self.p
-        return self._neg_table()[a]
+        return self._neg_table[a]
 
     def vsub(self, a, b):
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.m == 1:
             return (np.asarray(a) - b) % self.p
-        return self._add_table()[a, self._neg_table()[b]]
+        return self._add_table[a, self._neg_table[b]]
 
     def vmul(self, a, b):
         if self.m == 1:
             return (np.asarray(a) * np.asarray(b)) % self.p
-        return self._mul_table()[a, b]
+        return self._mul_table[a, b]
 
     def vsum(self, arr, axis):
         """Field sum along an axis (exact reduction of vadd)."""
@@ -391,8 +375,9 @@ class FieldSpec:
             pw *= self.p
         return out
 
-    def vfrobenius(self, a, q0: int):
-        return self._frob_table(q0)[a]
+    def vconj(self, a):
+        """Entrywise conjugation x -> x^r of GF(r^2), r = p^(m/2)."""
+        return self._conj_table[a]
 
 
 def field_of_order(q: int, modulus=None) -> FieldSpec:

@@ -81,13 +81,9 @@ class MatrixGF:
     def transpose(self) -> "MatrixGF":
         return MatrixGF._wrap(self.spec, self._a.T.copy())
 
-    def conj_transpose(self, q0: int) -> "MatrixGF":
-        """Transpose composed with the entrywise conjugation x -> x^q0."""
-        return MatrixGF._wrap(self.spec, self.spec.vfrobenius(self._a.T, q0))
-
-    def frobenius_map(self, q0: int) -> "MatrixGF":
-        """Entrywise x -> x^q0 without transposing."""
-        return MatrixGF._wrap(self.spec, self.spec.vfrobenius(self._a, q0))
+    def conj(self) -> "MatrixGF":
+        """Entrywise conjugation of a matrix over GF(r^2) (gf.FieldSpec.vconj)."""
+        return MatrixGF._wrap(self.spec, self.spec.vconj(self._a))
 
     def stack(self, other: "MatrixGF") -> "MatrixGF":
         self._check_field(other)

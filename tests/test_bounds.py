@@ -11,6 +11,7 @@ from eaqec.bounds import (
     LOG4_3,
     amds_length_bound,
     curves_to_csv,
+    delta_grid,
     eaq_length_bounds,
     entropy_q4,
     envelope_curve,
@@ -297,7 +298,7 @@ class TestCurves:
 
     def test_envelope_is_pointwise_max(self):
         members = [("C5", {"m": 4}), ("C5", {"m": 6}), ("C6", {"m": 5})]
-        env = envelope_curve(GRID, members)
+        env = envelope_curve([sample_curve(fam, GRID, **params) for fam, params in members])
         assert env.label() == "envelope"
         lut = dict(env.samples)
         for d in GRID:
@@ -310,10 +311,34 @@ class TestCurves:
                 assert lut[d] == max(rates)
             else:
                 assert d not in lut
+        assert [d for d, _ in env.samples] == [d for d in GRID if d in lut]
 
     def test_envelope_needs_members(self):
         with pytest.raises(BadFamilyParams):
-            envelope_curve(GRID, [])
+            envelope_curve([])
+
+
+class TestDeltaGrid:
+    @pytest.mark.parametrize(
+        "step, top",
+        [(0.01, 0.75), (0.002, 0.35), (0.05, 0.75), (0.5, 0.75), (0.1, 0.3), (0.25, 0.0)],
+    )
+    def test_multiples_of_step_up_to_top(self, step, top):
+        # every i * step within a rounding error of top is kept, nothing above
+        grid = delta_grid(step, top)
+        assert grid == [i * step for i in range(len(grid))]
+        assert grid[-1] <= top * (1 + 1e-12)
+        assert len(grid) * step > top * (1 + 1e-12)
+
+    def test_tiny_step_on_a_zero_top(self):
+        assert delta_grid(1e-20, 0.0) == [0.0]
+        assert len(delta_grid(1e-300, 0.0)) == 1
+
+    def test_cap_is_on_the_point_count(self):
+        assert len(delta_grid(1e-6, 1.0 - 1e-6)) == 10**6
+        for step, top in [(1e-6, 1.0), (1e-300, 1e-10), (5e-324, 1e300)]:
+            with pytest.raises(DomainError, match="cap 1000000"):
+                delta_grid(step, top)
 
 
 class TestCsv:

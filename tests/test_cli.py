@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -42,13 +43,19 @@ def records(lines):
     return [json.loads(ln) for ln in lines if ln.startswith("{")]
 
 
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 def run_fresh(argv):
-    """`python -m eaqec ARGV` in a fresh interpreter; a spin fails on the timeout."""
+    """`python -m eaqec ARGV` in a fresh interpreter; a spin fails on the timeout,
+    and a runaway allocation on the child's 1 GiB address-space limit."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
         [sys.executable, "-m", "eaqec", *argv],
         capture_output=True, text=True, env=env, timeout=20,
+        preexec_fn=_cap_address_space,
     )
 
 
@@ -182,6 +189,14 @@ class TestConstructions:
         assert code == 3
         assert err.startswith("error: FieldMismatch")
 
+    def test_hermitian_negative_base(self, capsys, tmp_path):
+        # (-2)^2 = 4 matches the file's field size, yet no field has -2 elements
+        herm = write(tmp_path, "herm.txt", HERM3)
+        code, lines, err = run(capsys, ["hermitian", "--code", herm, "--base=-2",
+                                        "--quiet"])
+        assert code == 3 and lines == []
+        assert err.startswith("error: FieldMismatch")
+
     def test_extend(self, capsys):
         code, lines, _ = run(
             capsys,
@@ -259,6 +274,16 @@ class TestConstructions:
         )
         assert code == 2
         assert err.startswith("error: ParseError") and "cannot decide" in err
+
+    @pytest.mark.parametrize("k1", ["30000000", "100000000000"])
+    def test_alphabet_refused_without_the_power(self, k1):
+        # q^k1 would have millions of digits (or 10^11 bits); 2^k1 > 5 decides it
+        start = time.perf_counter()
+        proc = run_fresh(["concat", "--inner", f"{k1},{k1},1,0,2", "--outer", "5,3,2,1,4",
+                          "--quiet"])
+        assert time.perf_counter() - start < 5.0
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error: AlphabetMismatch")
 
 
 class TestAudit:
@@ -399,6 +424,25 @@ class TestBounds:
         assert time.perf_counter() - start < 1.0
         assert code == 3 and lines == []
         assert err.startswith("error: DomainError") and "cap 1000000" in err
+
+    @pytest.mark.parametrize("step", ["1e-20", "1e-300"])
+    def test_tiny_step_on_a_one_point_grid(self, step):
+        # the grid [0] has one point, however small the step
+        proc = run_fresh(["bounds", "--family", "C5", "--m", "4", "--delta-step", step,
+                          "--delta-max", "0", "--quiet"])
+        assert proc.returncode == 0, proc.stderr
+        rate = rate_value("C5", 0.0, m=4)
+        assert proc.stdout.splitlines() == ["delta,C5[m=4]", f"0,{rate:.12g}"]
+
+    def test_m_range_sample_cap(self):
+        # 2047 curves on a 75,001-point grid: refused before any sampling
+        start = time.perf_counter()
+        proc = run_fresh(["bounds", "--family", "C5", "--m-range", "1..2047",
+                          "--delta-step", "1e-5", "--quiet"])
+        assert time.perf_counter() - start < 5.0
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == ("error: DomainError: 2047 values of m on 75001 grid points "
+                               "exceed the cap of 1000000 samples\n")
 
     def test_m_above_the_cap(self):
         # 2 ** (m // 2) no longer converts to a float beyond the cap

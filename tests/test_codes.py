@@ -105,24 +105,26 @@ class TestConstruction:
     def test_rank_validation(self):
         g = MatrixGF(GF2, [[1, 1, 0], [1, 1, 0]])
         with pytest.raises(ValueError, match="full rank"):
-            ClassicalCode(GF2, g, MatrixGF(GF2, [[1, 1, 1]]))
+            ClassicalCode(g, MatrixGF(GF2, [[1, 1, 1]]))
 
     def test_orthogonality_validation(self):
         g = MatrixGF(GF2, [[1, 0, 0]])
         h = MatrixGF(GF2, [[1, 1, 0], [0, 0, 1]])
         with pytest.raises(ValueError, match="!= 0"):
-            ClassicalCode(GF2, g, h)
+            ClassicalCode(g, h)
 
     def test_parity_shape_validation(self):
         g = MatrixGF(GF2, [[1, 0, 0]])
         with pytest.raises(ValueError, match="rows"):
-            ClassicalCode(GF2, g, MatrixGF(GF2, [[0, 1, 1]]))
+            ClassicalCode(g, MatrixGF(GF2, [[0, 1, 1]]))
 
     def test_field_mismatch(self):
         g = MatrixGF(GF3, [[1, 0]])
-        h = MatrixGF(GF3, [[0, 1]])
+        h = MatrixGF(GF2, [[0, 1]])
         with pytest.raises(FieldMismatch):
-            ClassicalCode(GF2, g, h)
+            ClassicalCode(g, h)
+        code = ClassicalCode(g, MatrixGF(GF3, [[0, 1]]))
+        assert code.spec == GF3 and (code.n, code.k) == (2, 1)
 
     @pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF9, GF16], ids=lambda s: f"q{s.q}")
     def test_rank_deficient_user_matrix_rejected(self, spec):
@@ -334,19 +336,19 @@ class TestDuals:
     def test_hermitian_dual_orthogonality(self):
         g = MatrixGF(GF4, [[1, 0, 2], [0, 1, 3]])
         code = ClassicalCode.from_generator(g)
-        hd = hermitian_dual(code, 2)
+        hd = hermitian_dual(code)
         assert (hd.n, hd.k) == (3, 1)
         for u in code.codewords():
             for v in hd.codewords():
                 acc = 0
                 for a, b in zip(u, v):
-                    acc = GF4.add(acc, GF4.mul(a, GF4.frobenius(b, 2)))
+                    acc = GF4.add(acc, GF4.mul(a, GF4.pow(b, 2)))
                 assert acc == 0
 
     def test_hermitian_dual_base_field_check(self):
         code = hamming()
         with pytest.raises(FieldMismatch):
-            hermitian_dual(code, 2)
+            hermitian_dual(code)
 
     def test_hull_dimension_oracle(self):
         rng = random.Random(5)

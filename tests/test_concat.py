@@ -73,6 +73,12 @@ class TestConcatenate:
         with pytest.raises(AlphabetMismatch):
             concatenate(parse_params("3,2,2,1,2"), parse_params("5,3,2,1,8"))
 
+    def test_alphabet_refused_before_the_power(self):
+        # 2^(10^11) is never built: 2^k1 > 4 once k1 passes 4's bit length
+        inner = EaqeccParams(q=2, n=10**11, k=10**11, d=Distance.exact(1), c=0)
+        with pytest.raises(AlphabetMismatch, match=r"= 2\^100000000000, got 4$"):
+            concatenate(inner, outer4("5,3,2,1,4"))
+
     def test_maximal_closure_exhaustive(self):
         # maximal components concatenate to a maximal code
         for n1, k1 in ((2, 1), (3, 1), (3, 2), (4, 2)):
@@ -195,6 +201,15 @@ class TestParseTableFile:
             (GOOD_LINE.replace("|base|", "|extend+x|"), "bad transform"),
             (GOOD_LINE.replace("4,2,2,0,2", "4,2,2,0"), "n,k,d,c,q"),
             (GOOD_LINE.replace("4,2,2,0,2", "4,two,2,0,2"), "bad tuple"),
+            # tuples that parse but cannot be built, refused with their line
+            (
+                "I|4,9,2,0,2|25,13,12,12,4|base|100,26,24,24,2|x|y",
+                "line 1: dimension 9 exceeds the length 4",
+            ),
+            (GOOD_LINE.replace("4,2,2,0,2", "4,2,2,0,6"), "line 1: alphabet size 6"),
+            (GOOD_LINE.replace("23,1*,11,?,4", "23,2,11,1,6"), "line 1: alphabet size 6"),
+            # a net-form outer is built at c2 = 0 and 1; k = 23 + 1 exceeds n
+            (GOOD_LINE.replace("23,1*,11,?,4", "23,23*,11,?,4"), "line 1: dimension 24"),
         ],
     )
     def test_rejects(self, line, match):

@@ -203,6 +203,15 @@ class TestHermitianConstruct:
         with pytest.raises(FieldMismatch):
             hermitian_entanglement(rep2(), 2)
 
+    @pytest.mark.parametrize("base", [-2, 0, 4])
+    def test_base_must_be_the_square_root(self, base):
+        # only base 2 is GF(4)'s; -2 squares to 4 too but is no field size
+        code = with_d(ClassicalCode.from_parity_check(MatrixGF(GF4, [[1, 1, 2]])))
+        with pytest.raises(FieldMismatch):
+            hermitian_entanglement(code, base)
+        with pytest.raises(FieldMismatch):
+            hermitian_construct(code, base)
+
     def test_distance_required(self):
         bare = ClassicalCode.from_parity_check(MatrixGF(GF4, [[1, 1, 2]]))
         with pytest.raises(DistanceUnknown):

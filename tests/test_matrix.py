@@ -56,7 +56,7 @@ def test_rank_frozen_example():
 
 def test_conj_transpose_frozen_example():
     h = MatrixGF(GF4, [[1, 1, 2]])
-    prod = h.mul(h.conj_transpose(2))
+    prod = h.mul(h.conj().transpose())
     assert prod.to_lists() == [[1]]
     assert prod.rank() == 1
 
@@ -130,16 +130,18 @@ def test_transpose_product_identity():
     a = random_matrix(GF4, 3, 4, rng)
     b = random_matrix(GF4, 4, 2, rng)
     assert (a @ b).transpose() == b.transpose() @ a.transpose()
-    assert (a @ b).conj_transpose(2) == b.conj_transpose(2) @ a.conj_transpose(2)
+    assert (a @ b).conj() == a.conj() @ b.conj()
 
 
-def test_frobenius_map_is_entrywise():
+def test_conj_is_entrywise():
     rng = random.Random(10)
     a = random_matrix(GF4, 2, 3, rng)
-    fm = a.frobenius_map(2)
+    ac = a.conj()
     for i in range(2):
         for j in range(3):
-            assert fm[i, j] == GF4.frobenius(a[i, j], 2)
+            assert ac[i, j] == GF4.pow(a[i, j], 2)
+    with pytest.raises(FieldMismatch):
+        MatrixGF(GF2, [[1, 0]]).conj()
 
 
 def test_stack_and_mismatches():
