@@ -144,139 +144,88 @@ def gv_root_x0(r_e: float, c_e: float) -> float:
 
 # --- asymptotic rate families ---
 
-FAMILY_NAMES = ("P1a", "P1b", "C5", "C6", "C7", "C8", "GV")
-
 # Largest m the C5-C8 families take: 2 ** (m // 2) still converts to a float.
 MAX_M = 2047
 
 
-def _need_m(params: dict) -> int:
+def _checked_m(params: dict, parity: int, min_m: int) -> tuple[int, float]:
+    """m of the given parity (0 even, 1 odd) in (min_m, MAX_M], with
+    eps = 1 / (2^floor(m/2) - 1); for odd m, floor(m/2) = (m - 1)/2."""
     m = params.get("m")
     if not isinstance(m, int):
         raise BadFamilyParams("family needs an integer parameter m")
-    return m
+    if m <= min_m or m % 2 != parity:
+        word = ("even", "odd")[parity]
+        raise BadFamilyParams(f"need {word} m > {min_m}, got {m}")
+    if m > MAX_M:
+        raise BadFamilyParams(f"m = {m} exceeds the cap {MAX_M}")
+    return m, 1.0 / (2 ** (m // 2) - 1)
 
 
-def _eps(m: int) -> float:
-    """1 / (2^floor(m/2) - 1); for odd m, floor(m/2) = (m - 1)/2."""
-    return 1.0 / (2 ** (m // 2) - 1)
+def _c5(params):
+    m, eps = _checked_m(params, 0, 1)
+    return (lambda d: 1.0 - m * d - eps), (1.0 - eps) / m, True
 
 
-class _Family:
-    def __init__(self, check, rate, domain_hi, hi_open=False):
-        self.check = check
-        self.rate = rate
-        self.domain_hi = domain_hi
-        self.hi_open = hi_open
+def _c6(params):
+    m, eps = _checked_m(params, 1, 2)
+    return (
+        lambda d: (1.0 - 1.0 / m) * (1.0 - (m / 2.0) * d - eps),
+        2.0 * (1.0 - eps) / m,
+        True,
+    )
 
 
-def _check_m(parity, min_m):
-    """Check for an m of the given parity (0 even, 1 odd) in (min_m, MAX_M]."""
-    word = ("even", "odd")[parity]
-
-    def check(params):
-        m = _need_m(params)
-        if m <= min_m or m % 2 != parity:
-            raise BadFamilyParams(f"need {word} m > {min_m}, got {m}")
-        if m > MAX_M:
-            raise BadFamilyParams(f"m = {m} exceeds the cap {MAX_M}")
-
-    return check
+def _c7(params):
+    m, eps = _checked_m(params, 0, 3)
+    return (lambda d: 1.0 - 2.0 * m * d - 2.0 * eps), (1.0 - 2.0 * eps) / (2.0 * m), False
 
 
-def _check_gv(params):
+def _c8(params):
+    m, eps = _checked_m(params, 1, 4)
+    return (
+        lambda d: (2.0 - 2.0 / m) * (1.0 - (m / 2.0) * d - eps) - 1.0,
+        (1.0 - 1.0 / (m - 1) - 2.0 * eps) / m,
+        True,
+    )
+
+
+def _gv(params):
     ce = params.get("ce")
     if not isinstance(ce, (int, float)) or not 0.0 <= ce < 1.0:
         raise BadFamilyParams("GV family needs ce in [0, 1)")
+    return (lambda d: 1.0 + ce - 2.0 * entropy_q4(d)), gv_root_x0(0.0, ce), True
 
 
-def _rate_c5(d, p):
-    m = p["m"]
-    return 1.0 - m * d - _eps(m)
-
-
-def _hi_c5(p):
-    m = p["m"]
-    return (1.0 - _eps(m)) / m
-
-
-def _rate_c6(d, p):
-    m = p["m"]
-    return (1.0 - 1.0 / m) * (1.0 - (m / 2.0) * d - _eps(m))
-
-
-def _hi_c6(p):
-    m = p["m"]
-    return 2.0 * (1.0 - _eps(m)) / m
-
-
-def _rate_c7(d, p):
-    m = p["m"]
-    return 1.0 - 2.0 * m * d - 2.0 * _eps(m)
-
-
-def _hi_c7(p):
-    m = p["m"]
-    return (1.0 - 2.0 * _eps(m)) / (2.0 * m)
-
-
-def _rate_c8(d, p):
-    m = p["m"]
-    return (2.0 - 2.0 / m) * (1.0 - (m / 2.0) * d - _eps(m)) - 1.0
-
-
-def _hi_c8(p):
-    m = p["m"]
-    return (1.0 - 1.0 / (m - 1) - 2.0 * _eps(m)) / m
-
-
-def _rate_gv(d, p):
-    return 1.0 + p["ce"] - 2.0 * entropy_q4(d)
-
-
-def _hi_gv(p):
-    return gv_root_x0(0.0, p["ce"])
-
-
+# Each family checks its parameters once and returns (rate, delta_max,
+# max_included), the rate a function of delta.  P1a and P1b are the paper's
+# names for C5 and C6.
 _FAMILIES = {
-    "P1a": _Family(_check_m(0, 1), _rate_c5, _hi_c5),
-    "C5": _Family(_check_m(0, 1), _rate_c5, _hi_c5),
-    "P1b": _Family(_check_m(1, 2), _rate_c6, _hi_c6),
-    "C6": _Family(_check_m(1, 2), _rate_c6, _hi_c6),
-    "C7": _Family(_check_m(0, 3), _rate_c7, _hi_c7, hi_open=True),
-    "C8": _Family(_check_m(1, 4), _rate_c8, _hi_c8),
-    "GV": _Family(_check_gv, _rate_gv, _hi_gv),
+    "P1a": _c5, "P1b": _c6, "C5": _c5, "C6": _c6, "C7": _c7, "C8": _c8, "GV": _gv,
 }
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
-def _family(name: str) -> _Family:
-    fam = _FAMILIES.get(name)
-    if fam is None:
-        raise BadFamilyParams(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
-    return fam
+def _resolve(family: str, params: dict):
+    """(rate, delta_max, max_included) of a family with checked parameters."""
+    if family not in _FAMILIES:
+        known = ", ".join(FAMILY_NAMES)
+        raise BadFamilyParams(f"unknown family {family!r}; known: {known}")
+    return _FAMILIES[family](params)
 
 
 def family_domain(family: str, **params) -> tuple[float, float, bool]:
     """(delta_min, delta_max, max_included) for a validated family."""
-    fam = _family(family)
-    fam.check(params)
-    return (0.0, fam.domain_hi(params), not fam.hi_open)
-
-
-def _in_domain(fam: _Family, params: dict, delta: float) -> bool:
-    hi = fam.domain_hi(params)
-    if fam.hi_open:
-        return 0.0 <= delta < hi
-    return 0.0 <= delta <= hi
+    _, hi, closed = _resolve(family, params)
+    return (0.0, hi, closed)
 
 
 def rate_value(family: str, delta: float, **params) -> float:
     """Rate of one family at one delta; DomainError outside the stated domain."""
-    fam = _family(family)
-    fam.check(params)
-    if not _in_domain(fam, params, delta):
+    rate, hi, closed = _resolve(family, params)
+    if not (0.0 <= delta <= hi and (closed or delta < hi)):
         raise DomainError(f"delta {delta} outside the domain of {family} {params}")
-    return fam.rate(delta, params)
+    return rate(delta)
 
 
 @dataclass(frozen=True)
@@ -325,11 +274,10 @@ def _check_grid(deltas) -> tuple[float, ...]:
 
 def sample_curve(family: str, deltas, **params) -> BoundCurve:
     """Sample one family on a strictly increasing grid, keeping in-domain points."""
-    fam = _family(family)
-    fam.check(params)
+    rate, hi, closed = _resolve(family, params)
     grid = _check_grid(deltas)
     samples = tuple(
-        (d, fam.rate(d, params)) for d in grid if _in_domain(fam, params, d)
+        (d, rate(d)) for d in grid if 0.0 <= d <= hi and (closed or d < hi)
     )
     return BoundCurve(
         family=family,

@@ -28,17 +28,20 @@ if TYPE_CHECKING:
     from .matrix import MatrixGF
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"{path}: {e}") from None
+
+
 def read_matrix_file(path: str) -> MatrixGF:
     """Parse a matrix file; all failures surface as ParseError."""
     from .gf import field_of_order
     from .matrix import MatrixGF
 
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise ParseError(f"{path}: {e}") from None
-    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln.strip() for ln in _read_text(path).splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError(f"{path}: empty matrix file")
@@ -70,10 +73,7 @@ def read_matrix_file(path: str) -> MatrixGF:
         rows.append(row)
     if not rows:
         raise ParseError(f"{path}: no matrix rows")
-    try:
-        return MatrixGF(spec, rows)
-    except EaqecError as e:
-        raise ParseError(f"{path}: {e}") from None
+    return MatrixGF(spec, rows)
 
 
 class _Out:
@@ -137,31 +137,15 @@ def cmd_hermitian(args, out: _Out) -> int:
     return 0
 
 
-def _concat_from_args(args) -> EaqeccParams:
-    from .concat import concatenate
+def cmd_concat(args, out: _Out) -> int:
+    """concat, extend and expurgate: concatenate, then apply the named transform."""
+    from . import concat
     from .eaqecc import parse_params
 
-    inner = parse_params(args.inner)
-    outer = parse_params(args.outer)
-    return concatenate(inner, outer)
-
-
-def cmd_concat(args, out: _Out) -> int:
-    _emit_code(out, "concat", _concat_from_args(args))
-    return 0
-
-
-def cmd_extend(args, out: _Out) -> int:
-    from .concat import extend
-
-    _emit_code(out, "extend", extend(_concat_from_args(args), args.t))
-    return 0
-
-
-def cmd_expurgate(args, out: _Out) -> int:
-    from .concat import expurgate
-
-    _emit_code(out, "expurgate", expurgate(_concat_from_args(args), args.t))
+    code = concat.concatenate(parse_params(args.inner), parse_params(args.outer))
+    if args.command != "concat":
+        code = getattr(concat, args.command)(code, args.t)
+    _emit_code(out, args.command, code)
     return 0
 
 
@@ -176,11 +160,7 @@ def cmd_audit(args, out: _Out) -> int:
     if args.tables is None:
         rows = load_bundled_tables()
     else:
-        try:
-            with open(args.tables, encoding="utf-8") as fh:
-                rows = parse_table_file(fh.read())
-        except OSError as e:
-            raise ParseError(f"{args.tables}: {e}") from None
+        rows = parse_table_file(_read_text(args.tables))
     report = audit_tables(rows)
     known = 0
     unexpected = 0
@@ -321,11 +301,7 @@ def cmd_gv(args, out: _Out) -> int:
 
 
 def cmd_mindist(args, out: _Out) -> int:
-    from .codes import ClassicalCode, min_distance
-
-    h = read_matrix_file(args.code)
-    code = ClassicalCode.from_parity_check(h)
-    d = min_distance(code, budget=args.budget)
+    d = _code_from_file(args.code, args.budget).distance
     if d.is_known:
         out.line(f"d={d.value} exact")
         out.record({"command": "mindist", "d": d.value, "kind": "exact"})
@@ -345,34 +321,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("css", parents=[common], help="CSS-type construction")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET, help=f"at most {DEFAULT_BUDGET}"
+    )
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--inner", required=True, help="tuple n,k,d,c,q")
+    pair.add_argument("--outer", required=True, help="tuple n,k,d,c,q")
+
+    p = sub.add_parser("css", parents=[common, budget], help="CSS-type construction")
     p.add_argument("--c1", required=True, help="parity-check matrix file")
     p.add_argument("--c2", required=True, help="parity-check matrix file")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_css)
 
-    p = sub.add_parser("hermitian", parents=[common], help="Hermitian construction")
+    p = sub.add_parser("hermitian", parents=[common, budget], help="Hermitian construction")
     p.add_argument("--code", required=True, help="parity-check matrix file over q^2")
     p.add_argument("--base", required=True, type=int, help="base field size q")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_hermitian)
 
-    p = sub.add_parser("concat", parents=[common], help="concatenate two codes")
-    p.add_argument("--inner", required=True, help="tuple n,k,d,c,q")
-    p.add_argument("--outer", required=True, help="tuple n,k,d,c,q")
+    p = sub.add_parser("concat", parents=[common, pair], help="concatenate two codes")
     p.set_defaults(func=cmd_concat)
 
-    p = sub.add_parser("extend", parents=[common], help="concatenate then lengthen")
-    p.add_argument("--inner", required=True)
-    p.add_argument("--outer", required=True)
+    p = sub.add_parser("extend", parents=[common, pair], help="concatenate then lengthen")
     p.add_argument("--t", required=True, type=int, help="positions to add")
-    p.set_defaults(func=cmd_extend)
+    p.set_defaults(func=cmd_concat)
 
-    p = sub.add_parser("expurgate", parents=[common], help="concatenate then expurgate")
-    p.add_argument("--inner", required=True)
-    p.add_argument("--outer", required=True)
+    p = sub.add_parser("expurgate", parents=[common, pair], help="concatenate then expurgate")
     p.add_argument("--t", required=True, type=int, help="inner blocks to replace")
-    p.set_defaults(func=cmd_expurgate)
+    p.set_defaults(func=cmd_concat)
 
     p = sub.add_parser("audit", parents=[common], help="re-derive the parameter tables")
     p.add_argument("--tables", help="table file (default: bundled)")
@@ -399,9 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, help="evaluate the probability bound here")
     p.set_defaults(func=cmd_gv)
 
-    p = sub.add_parser("mindist", parents=[common], help="exact minimum distance")
+    p = sub.add_parser("mindist", parents=[common, budget], help="exact minimum distance")
     p.add_argument("--code", required=True, help="parity-check matrix file")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_mindist)
 
     return parser

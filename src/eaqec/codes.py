@@ -185,7 +185,8 @@ def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
     """Brute-force minimum distance by message-space enumeration.
 
     When all q^k messages fit the budget, returns the exact distance;
-    otherwise returns Distance.unknown().  Deterministic.
+    otherwise returns Distance.unknown().  Deterministic.  A budget may lower
+    DEFAULT_BUDGET but not raise it.
 
     Only the messages whose first nonzero coordinate is 1 are visited: every
     nonzero codeword is a nonzero multiple of exactly one of their words, of
@@ -198,8 +199,10 @@ def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
     """
     import numpy as np
 
-    if not isinstance(budget, int) or budget < 1:
-        raise BudgetInvalid(f"budget must be a positive integer, got {budget!r}")
+    if not isinstance(budget, int) or not 1 <= budget <= DEFAULT_BUDGET:
+        raise BudgetInvalid(
+            f"budget must be an integer in [1, {DEFAULT_BUDGET}], got {budget!r}"
+        )
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codeword")
     if code.spec.q ** code.k > budget:

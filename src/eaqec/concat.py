@@ -29,12 +29,14 @@ block's base row).  Comparator fields are carried verbatim and not audited.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from .codes import Distance
 from .eaqecc import Concatenated, EaqeccParams, Expurgated, Extended
 from .errors import (
     AlphabetMismatch,
+    EaqecError,
     ParseError,
     ProvenanceMismatch,
     TooManyBlocks,
@@ -160,6 +162,11 @@ class TableRow:
         tr = name if name == "base" else f"{name}{'+' if name == 'extend' else '-'}{t}"
         return f"{self.table}:{self.index:03d} {tr}"
 
+    @cached_property
+    def derived(self) -> EaqeccParams:
+        """derive_row(self), computed once."""
+        return derive_row(self)
+
 
 def _parse_tuple(tok: str, where: str) -> TableTuple:
     parts = [p.strip() for p in tok.split(",")]
@@ -216,27 +223,23 @@ def parse_table_file(text: str) -> list[TableRow]:
         outer = _parse_tuple(fields[2], where)
         if not outer.k_is_net and outer.c is None:
             raise ParseError(f"{where}: outer tuple needs either plain k with c, or net k")
-        try:
-            # the components as derive_row builds them
-            _literal(inner)
-            for c2 in (0, 1) if outer.k_is_net else (None,):
-                _literal(outer, c_override=c2)
-        except ValueError as e:
-            raise ParseError(f"{where}: {e}") from None
         transform = _parse_transform(fields[3], where)
         published = _parse_tuple(fields[4], where)
         counters[table] += 1
-        rows.append(
-            TableRow(
-                table=table,
-                index=counters[table],
-                inner=inner,
-                outer=outer,
-                transform=transform,
-                published=published,
-                comparators=(fields[5], fields[6]),
-            )
+        row = TableRow(
+            table=table,
+            index=counters[table],
+            inner=inner,
+            outer=outer,
+            transform=transform,
+            published=published,
+            comparators=(fields[5], fields[6]),
         )
+        try:
+            row.derived  # derive now: an underivable row is refused with its line
+        except (ValueError, EaqecError) as e:
+            raise ParseError(f"{where}: {e}") from None
+        rows.append(row)
     return rows
 
 
@@ -318,7 +321,7 @@ def derive_row(row: TableRow) -> EaqeccParams:
 
 
 def audit_row(row: TableRow) -> RowVerdict:
-    derived = derive_row(row)
+    derived = row.derived
     pub = row.published
     mismatches = []
     if derived.n != pub.n:

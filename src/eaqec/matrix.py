@@ -13,6 +13,9 @@ import numpy as np
 from .errors import DimensionMismatch, FieldMismatch
 from .gf import FieldSpec
 
+# Entries in one block of MatrixGF.mul's elementwise products.
+_MUL_ENTRIES = 1 << 20
+
 
 class MatrixGF:
     __slots__ = ("spec", "rows", "cols", "_a")
@@ -99,10 +102,15 @@ class MatrixGF:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        if self.cols == 0:
-            return MatrixGF.zeros(self.spec, self.rows, other.cols)
-        prod = self.spec.vmul(self._a[:, :, None], other._a[None, :, :])
-        return MatrixGF._wrap(self.spec, self.spec.vsum(prod, axis=1))
+        spec, a, b = self.spec, self._a, other._a[None, :, :]
+        # reduce the rows x inner x cols products in row blocks of at most
+        # _MUL_ENTRIES entries; a block has one row or more, so no temporary
+        # exceeds the larger of that cap and the right operand's size
+        step = max(1, _MUL_ENTRIES // max(1, self.cols * other.cols))
+        out = np.empty((self.rows, other.cols), dtype=np.int64)
+        for i in range(0, self.rows, step):
+            out[i : i + step] = spec.vsum(spec.vmul(a[i : i + step, :, None], b), axis=1)
+        return MatrixGF._wrap(spec, out)
 
     def __matmul__(self, other):
         return self.mul(other)

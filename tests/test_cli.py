@@ -123,6 +123,14 @@ class TestMatrixFiles:
         with pytest.raises(ParseError):
             read_matrix_file(str(tmp_path / "nope.txt"))
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"q 2 poly 1,1\n# caf\xe9\n1 1\n")
+        with pytest.raises(ParseError, match="latin1.txt: 'utf-8' codec"):
+            read_matrix_file(str(path))
+        code, _, err = run(capsys, ["mindist", "--code", str(path), "--quiet"])
+        assert code == 2 and err.startswith("error: ParseError")
+
 
 class TestConstructions:
     def test_css(self, capsys, tmp_path):
@@ -341,6 +349,13 @@ class TestAudit:
     def test_missing_table_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["audit", "--tables", str(tmp_path / "nope")])
         assert code == 2
+
+    def test_non_utf8_table_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# caf\xe9\n")
+        code, _, err = run(capsys, ["audit", "--tables", str(path), "--quiet"])
+        assert code == 2
+        assert err.startswith("error: ParseError") and "latin1.txt: 'utf-8' codec" in err
 
 
 class TestBounds:

@@ -234,11 +234,8 @@ def matrix_cases(draw):
     return first, second, base
 
 
-# --budget is the caller's own bound on min_distance's work (q^k messages), so
-# it is drawn no higher than its default 2^24; any larger value is a request
-# to run longer
 BUDGETS = st.one_of(
-    st.none(), st.sampled_from((-1, 0, 1, 2**24)), st.integers(-(10**18), 2**24)
+    st.none(), st.sampled_from((-1, 0, 1, 2**24, 2**24 + 1)), st.integers(-(10**18), 10**18)
 )
 
 HERM3 = "q 4 poly 1,1,1\n1 1 2\n"
@@ -308,4 +305,4 @@ def test_audit(workdir, lines, allow_known):
     argv = ["audit", f"--tables={path}", "--quiet"]
     if allow_known:
         argv.append("--allow-known")
-    check(argv, allowed=(0, 1, 2, 3))
+    check(argv, allowed=(0, 1, 2))

@@ -230,7 +230,7 @@ class TestMinDistance:
 
     def test_budget_validation(self):
         code = hamming()
-        for bad in (0, -3, 2.5, "big"):
+        for bad in (0, -3, 2.5, "big", 2**24 + 1):
             with pytest.raises(BudgetInvalid):
                 min_distance(code, budget=bad)
 

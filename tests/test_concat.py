@@ -1,6 +1,10 @@
 """Concatenation, length transforms, and the bundled-table audit."""
 
+import dataclasses
+
 import pytest
+
+from eaqec import concat
 
 from eaqec.codes import Distance
 from eaqec.concat import (
@@ -210,6 +214,19 @@ class TestParseTableFile:
             (GOOD_LINE.replace("23,1*,11,?,4", "23,2,11,1,6"), "line 1: alphabet size 6"),
             # a net-form outer is built at c2 = 0 and 1; k = 23 + 1 exceeds n
             (GOOD_LINE.replace("23,1*,11,?,4", "23,23*,11,?,4"), "line 1: dimension 24"),
+            # rows that parse but cannot be derived, refused with their line
+            (
+                "I|4,2,2,0,2|23,1*,11,?,4|expurgate-30|62,1*,>=22,?,2|x|y",
+                "line 1: cannot replace 30 of 23 inner blocks",
+            ),
+            (
+                "IV|3,2,2,1,2|5,3,2,1,8|base|15,6,4,8,2|x|y",
+                "line 1: outer alphabet must be q\\^k1",
+            ),
+            (
+                "IV|3,2,2,1,2|5,3,2,1,4|expurgate-1|14,6,4,8,2|x|y",
+                "line 1: expurgation needs inner",
+            ),
         ],
     )
     def test_rejects(self, line, match):
@@ -314,6 +331,17 @@ class TestBundledTables:
                     derived.n, derived.net, derived.d.require()
                 )
 
+    def test_each_row_is_derived_once(self, monkeypatch):
+        calls = []
+        real = concat.concatenate
+        monkeypatch.setattr(
+            concat, "concatenate", lambda inner, outer: calls.append(1) or real(inner, outer)
+        )
+        audit_tables(load_bundled_tables())
+        # two outer entanglements for each of the 127 net-form rows, one for
+        # each of the 14 rows of table IV
+        assert len(calls) == 2 * 127 + 14
+
     def test_derive_row_table_iv(self, rows):
         row = next(r for r in rows if r.table == "IV")
         code = derive_row(row)
@@ -342,4 +370,21 @@ class TestBundledTables:
         )
         assert not verdict.consistent
         assert [m.field for m in verdict.mismatches] == ["n"]
+        assert not is_known_discrepancy(verdict)
+
+    @pytest.mark.parametrize(
+        "table, field, attr",
+        [("I", "net", "k"), ("II", "net", "k"), ("III", "net", "k"), ("IV", "k", "k"),
+         ("I", "d", "d"), ("IV", "d", "d")],
+    )
+    def test_corrupted_count_is_flagged_as_unknown(self, rows, table, field, attr):
+        row = next(r for r in rows if r.table == table)
+        pub = row.published
+        if attr == "d":
+            bumped = Distance(pub.d.kind, pub.d.value + 1)
+        else:
+            bumped = pub.k + 1
+        broken = dataclasses.replace(pub, **{attr: bumped})
+        verdict = audit_row(dataclasses.replace(row, published=broken))
+        assert [m.field for m in verdict.mismatches] == [field]
         assert not is_known_discrepancy(verdict)

@@ -1,6 +1,7 @@
 """Matrix kernel: rref/rank/nullspace against exhaustive oracles."""
 
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eaqec import matrix
 from eaqec.errors import DimensionMismatch, FieldMismatch
 from eaqec.gf import FieldSpec
 from eaqec.matrix import MatrixGF
@@ -15,6 +17,7 @@ from eaqec.matrix import MatrixGF
 GF2 = FieldSpec(2, 1)
 GF3 = FieldSpec(3, 1)
 GF4 = FieldSpec(2, 2)
+GF9 = FieldSpec(3, 2)
 
 
 def random_matrix(spec, rows, cols, rng):
@@ -123,6 +126,44 @@ def test_matmul_against_naive():
                     for t in range(a.shape[1]):
                         acc = spec.add(acc, spec.mul(a[i, t], b[t, j]))
                     assert got[i][j] == acc
+
+
+def _unblocked_product(a, b):
+    spec = a.spec
+    return spec.vsum(spec.vmul(a.array()[:, :, None], b.array()[None, :, :]), axis=1)
+
+
+def test_matmul_row_blocks_match_one_block(monkeypatch):
+    # blocks of 50 product entries: several blocks, the last one short
+    monkeypatch.setattr(matrix, "_MUL_ENTRIES", 50)
+    rng = random.Random(10)
+    for spec in (GF2, GF3, GF4, GF9):
+        for _ in range(10):
+            a = random_matrix(spec, rng.randrange(1, 12), rng.randrange(1, 6), rng)
+            b = random_matrix(spec, a.shape[1], rng.randrange(1, 6), rng)
+            assert np.array_equal((a @ b).array(), _unblocked_product(a, b))
+
+
+def test_matmul_memory_is_bounded():
+    # one block of all 200 x 200 x 200 products would take 64 MB per temporary
+    rng = np.random.default_rng(11)
+    a = MatrixGF(GF3, rng.integers(0, 3, (200, 200)))
+    b = MatrixGF(GF3, rng.integers(0, 3, (200, 200)))
+    whole = _unblocked_product(a, b)
+    tracemalloc.start()
+    try:
+        got = a @ b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert np.array_equal(got.array(), whole)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF9], ids=repr)
+def test_matmul_over_an_empty_inner_dimension_is_zero(spec):
+    prod = MatrixGF.zeros(spec, 3, 0) @ MatrixGF.zeros(spec, 0, 4)
+    assert prod.shape == (3, 4) and not prod.array().any()
 
 
 def test_transpose_product_identity():
