@@ -254,8 +254,11 @@ def cmd_bounds(args, out: _Out) -> int:
     extra = [c for c in (args.extra_columns or "").split(",") if c]
     csv = curves_to_csv(grid, curves, extra_columns=extra)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(csv)
+        except OSError as e:
+            raise ParseError(f"{args.out}: {e}") from None
         out.line(f"wrote {args.out}: {len(curves)} curve(s), {len(grid)} grid points")
     else:
         sys.stdout.write(csv)

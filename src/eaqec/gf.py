@@ -20,7 +20,9 @@ are vectorized counterparts on numpy integer arrays; they are exact as well
 speed.  Each op has one path per field kind: XOR in characteristic 2, integer
 arithmetic mod p in prime fields, and lookup tables in extension fields (the
 multiplication and inverse tables, and in odd characteristic the addition and
-negation tables).  vsum reduces base-p digits.  vconj is the conjugation
+negation tables).  vsum reduces base-p digits.  vsub_outer is the fused
+rank-1 update a - f (x) row that elimination applies at each pivot, in place
+where the field allows.  vconj is the conjugation
 x -> x^r of an even-degree field GF(r^2), r = p^(m/2), which the Hermitian
 form uses; odd degrees raise FieldMismatch.  Each table is a constant of its
 field: a cached property, built on first use.  The scalar add/neg/mul/pow
@@ -360,6 +362,19 @@ class FieldSpec:
         if self.m == 1:
             return (np.asarray(a) * np.asarray(b)) % self.p
         return self._mul_table[a, b]
+
+    def vsub_outer(self, a, f, row):
+        """Rank-1 update a - f (x) row of a 2-D int64 array a, for a column f
+        and a row.  Characteristic 2 and prime fields update a in place; odd
+        extension fields return a new array, so callers use the return value."""
+        if self.p == 2:
+            a ^= np.multiply.outer(f, row) if self.m == 1 else self._mul_table[f[:, None], row]
+            return a
+        if self.m == 1:
+            a -= np.multiply.outer(f, row)
+            a %= self.p
+            return a
+        return self._add_table[a, self._mul_table[f[:, None], self._neg_table[row]]]
 
     def vsum(self, arr, axis):
         """Field sum along an axis (exact reduction of vadd)."""

@@ -4,6 +4,11 @@ Entries are stored as the integer encodings of gf.FieldSpec, in a row-major
 numpy int64 array.  All kernels (product, reduced row echelon form, rank,
 nullspace) are exact field arithmetic; elimination pivots on the first row
 with a nonzero entry in the current column, so results are deterministic.
+
+Each pivot of rref swaps the pivot row into place, scales it to a leading 1,
+and clears the rest of the pivot column with one whole-matrix rank-1 update
+a - f (x) row (gf.FieldSpec.vsub_outer), where f is the pivot column with its
+own entry zeroed.  Rows whose entry in f is zero are left as they are.
 """
 
 from __future__ import annotations
@@ -127,9 +132,8 @@ class MatrixGF:
         for c in range(cols):
             if r == rows:
                 break
-            col = a[r:, c]
-            nz = np.flatnonzero(col)
-            if nz.size == 0:
+            nz = a[r:, c].nonzero()[0]
+            if not nz.size:
                 continue
             i = r + int(nz[0])
             if i != r:
@@ -137,11 +141,9 @@ class MatrixGF:
             pv = int(a[r, c])
             if pv != 1:
                 a[r] = spec.vmul(a[r], spec.inv(pv))
-            factors = a[:, c].copy()
-            factors[r] = 0
-            tgt = np.flatnonzero(factors)
-            if tgt.size:
-                a[tgt] = spec.vsub(a[tgt], spec.vmul(factors[tgt][:, None], a[r][None, :]))
+            f = a[:, c].copy()
+            f[r] = 0
+            a = spec.vsub_outer(a, f, a[r])
             pivots.append(c)
             r += 1
         return MatrixGF._wrap(spec, a), tuple(pivots)

@@ -501,6 +501,17 @@ class TestBounds:
         assert text.startswith("delta,C5[m=4]\n0,0.666666666667\n")
         assert text.endswith("\n") and "\r" not in text
 
+    @pytest.mark.parametrize("where", ["missing/curves.csv", "."])
+    def test_out_unwritable(self, capsys, tmp_path, where):
+        # a missing directory, and a directory in place of a file
+        target = tmp_path / where
+        code, lines, err = run(
+            capsys, ["bounds", "--family", "C5", "--m", "4", "--out", str(target), "--quiet"]
+        )
+        assert code == 2 and lines == []
+        assert err.startswith(f"error: ParseError: {target}: [Errno ")
+        assert not (tmp_path / "missing").exists()
+
 
 class TestGv:
     def test_spec_report(self, capsys):

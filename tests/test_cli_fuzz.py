@@ -136,17 +136,23 @@ def test_concatenation_commands(command, pair, t):
     ce=st.one_of(st.none(), mostly(st.floats(0, 1), FLOATS)),
     step=st.one_of(st.none(), mostly(st.floats(1e-3, 1), FLOATS)),
     top=st.one_of(st.none(), mostly(st.floats(0, 1), FLOATS)),
+    out=st.sampled_from((None, "curves.csv", "missing/curves.csv", ".")),
 )
-@example(family="C5", m=4, m_range=None, ce=None, step=1e-20, top=0.0)
-@example(family="C5", m=4, m_range=None, ce=None, step=1e-300, top=0.0)
-@example(family="C5", m=100000000, m_range=None, ce=None, step=None, top=None)
-@example(family="C5", m=None, m_range="4..100000000", ce=None, step=None, top=None)
-@example(family="C5", m=None, m_range="1..2047", ce=None, step=1e-5, top=None)
-@example(family="GV", m=None, m_range=None, ce=math.nan, step=None, top=None)
-def test_bounds(family, m, m_range, ce, step, top):
+@example(family="C5", m=4, m_range=None, ce=None, step=1e-20, top=0.0, out=None)
+@example(family="C5", m=4, m_range=None, ce=None, step=1e-300, top=0.0, out=None)
+@example(family="C5", m=100000000, m_range=None, ce=None, step=None, top=None, out=None)
+@example(family="C5", m=None, m_range="4..100000000", ce=None, step=None, top=None, out=None)
+@example(family="C5", m=None, m_range="1..2047", ce=None, step=1e-5, top=None, out=None)
+@example(family="GV", m=None, m_range=None, ce=math.nan, step=None, top=None, out=None)
+@example(family="C5", m=4, m_range=None, ce=None, step=None, top=None, out="missing/curves.csv")
+@example(family="C5", m=4, m_range=None, ce=None, step=None, top=None, out=".")
+def test_bounds(workdir, family, m, m_range, ce, step, top, out):
+    # --out is a file in a directory that exists, one in a missing directory,
+    # or the directory itself
     argv = ["bounds", f"--family={family}", "--quiet"]
     for flag, value in (("--m", m), ("--m-range", m_range), ("--ce", ce),
-                        ("--delta-step", step), ("--delta-max", top)):
+                        ("--delta-step", step), ("--delta-max", top),
+                        ("--out", out and workdir / out)):
         if value is not None:
             text = repr(value) if isinstance(value, float) else value
             argv.append(f"{flag}={text}")

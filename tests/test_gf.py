@@ -17,6 +17,7 @@ from eaqec.errors import (
     NotPrime,
 )
 from eaqec.gf import FieldSpec, field_of_order, is_prime, prime_power
+from eaqec.primes import MAX_FIELD_SIZE
 
 SMALL_SPECS = [
     FieldSpec(2, 1),
@@ -236,6 +237,26 @@ def test_vector_ops_match_scalar(spec):
         for j in range(7):
             acc = spec.add(acc, int(a[i, j]))
         assert vs[i] == acc
+
+
+# the fields of the elimination tests, up to the largest prime field, whose
+# rank-1 products come closest to int64 overflow
+OUTER_SPECS = [FieldSpec(2, 1), FieldSpec(3, 1), FieldSpec(2, 2), FieldSpec(3, 2),
+               FieldSpec(2, 4),
+               FieldSpec(next(p for p in range(MAX_FIELD_SIZE, 1, -1) if is_prime(p)))]
+
+
+@pytest.mark.parametrize("spec", OUTER_SPECS, ids=lambda s: f"q{s.q}")
+def test_vsub_outer_matches_vsub_of_vmul(spec):
+    rng = np.random.default_rng(12)
+    for rows, cols in ((1, 1), (1, 9), (7, 1), (6, 11)):
+        a = rng.integers(0, spec.q, (rows, cols))
+        f = rng.integers(0, spec.q, rows)
+        f[0] = 0
+        row = rng.integers(0, spec.q, cols)
+        want = spec.vsub(a, spec.vmul(f[:, None], row))
+        got = spec.vsub_outer(a.copy(), f, row)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS + LARGE_SPECS, ids=lambda s: f"q{s.q}")

@@ -13,11 +13,15 @@ from eaqec import matrix
 from eaqec.errors import DimensionMismatch, FieldMismatch
 from eaqec.gf import FieldSpec
 from eaqec.matrix import MatrixGF
+from eaqec.primes import MAX_FIELD_SIZE, is_prime
 
 GF2 = FieldSpec(2, 1)
 GF3 = FieldSpec(3, 1)
 GF4 = FieldSpec(2, 2)
 GF9 = FieldSpec(3, 2)
+GF16 = FieldSpec(2, 4)
+# the largest prime field: its rank-1 products come closest to int64 overflow
+GF_TOP = FieldSpec(next(p for p in range(MAX_FIELD_SIZE, 1, -1) if is_prime(p)))
 
 
 def random_matrix(spec, rows, cols, rng):
@@ -77,6 +81,79 @@ def test_rref_canonical_shape():
                 assert col[i] == 1 and not np.delete(col, i).any()
             # row space unchanged
             assert m.stack(r).rank() == m.rank() == len(pivots)
+
+
+def rref_reference(spec, rows):
+    """Scalar Gauss-Jordan elimination with the kernel's pivot rule (the first
+    nonzero entry at or below the current row), on the table-free scalar ops;
+    the inverse is the power a^(q-2)."""
+    a = [list(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(a[0])):
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = spec.pow(a[r][c], spec.q - 2)
+        a[r] = [spec.mul(inv, x) for x in a[r]]
+        for j, row in enumerate(a):
+            if j != r and row[c]:
+                f = spec.neg(row[c])
+                a[j] = [spec.add(x, spec.mul(f, y)) for x, y in zip(row, a[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return a, tuple(pivots)
+
+
+def _oracle_cases(spec, rng):
+    """Uniform and rank-deficient (product) matrices up to 16 x 30, some with
+    zero columns, plus the 1 x n, n x 1 and all-zero edges."""
+    q = spec.q
+    cases = [rng.integers(0, q, (1, 30)), rng.integers(0, q, (16, 1)),
+             rng.integers(0, q, (16, 30)), np.zeros((3, 5), dtype=np.int64)]
+    for t in range(12):
+        rows, cols = int(rng.integers(1, 17)), int(rng.integers(1, 31))
+        if t % 2:
+            inner = int(rng.integers(1, min(rows, cols) + 1))
+            left = MatrixGF(spec, rng.integers(0, q, (rows, inner)))
+            a = (left @ MatrixGF(spec, rng.integers(0, q, (inner, cols)))).array().copy()
+        else:
+            a = rng.integers(0, q, (rows, cols))
+        if t % 3 == 0:
+            a[:, rng.integers(0, cols, 1 + cols // 4)] = 0
+        cases.append(a)
+    return cases
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF9, GF16, GF_TOP], ids=repr)
+def test_rref_matches_scalar_reference(spec):
+    rng = np.random.default_rng(spec.q)
+    for data in _oracle_cases(spec, rng):
+        m = MatrixGF(spec, data)
+        before = m.array().copy()
+        r, pivots = m.rref()
+        want, want_pivots = rref_reference(spec, data.tolist())
+        assert pivots == want_pivots
+        assert r.to_lists() == want
+        assert np.array_equal(m.array(), before)
+
+
+@pytest.mark.parametrize("spec", [GF3, GF16], ids=repr)
+def test_rref_memory_is_bounded(spec):
+    # the working copy, one rank-1 product and a few rows: under 3 matrices
+    rng = np.random.default_rng(13)
+    m = MatrixGF(spec, rng.integers(0, spec.q, (200, 400)))
+    cap = 3 * m.array().nbytes
+    tracemalloc.start()
+    try:
+        m.rref()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap
 
 
 def test_nullspace_is_exact_kernel():
