@@ -251,8 +251,7 @@ def cmd_bounds(args, out: _Out) -> int:
         curves.append(sample_curve(args.family, grid, m=args.m))
     else:
         raise BadFamilyParams("need --m or --m-range (or --family GV with --ce)")
-    extra = [c for c in (args.extra_columns or "").split(",") if c]
-    csv = curves_to_csv(grid, curves, extra_columns=extra)
+    csv = curves_to_csv(grid, curves)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -369,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ce", type=float, default=0.0, help="GV family C_e")
     p.add_argument("--delta-step", dest="delta_step", type=float, default=0.01)
     p.add_argument("--delta-max", dest="delta_max", type=float, default=0.75)
-    p.add_argument("--extra-columns", dest="extra_columns", default="")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_bounds)
 

@@ -14,20 +14,25 @@ monic polynomials of degree <= m/2.  Supported fields: prime q <= 2**20, and
 extension fields q <= 1024 (_TABLE_CAP), whose vector ops read full q x q
 tables.
 
-Scalar operations work on (and return) plain ints.  The v*-prefixed methods
-are vectorized counterparts on numpy integer arrays; they are exact as well
-(never floating point) and exist so that matrix kernels can run at array
-speed.  Each op has one path per field kind: XOR in characteristic 2, integer
-arithmetic mod p in prime fields, and lookup tables in extension fields (the
-multiplication and inverse tables, and in odd characteristic the addition and
-negation tables).  vsum reduces base-p digits.  vsub_outer is the fused
-rank-1 update a - f (x) row that elimination applies at each pivot, in place
-where the field allows.  vconj is the conjugation
-x -> x^r of an even-degree field GF(r^2), r = p^(m/2), which the Hermitian
-form uses; odd degrees raise FieldMismatch.  Each table is a constant of its
-field: a cached property, built on first use.  The scalar add/neg/mul/pow
-methods use no tables; they build the tables and are the reference that
-tests check the tables against.
+Scalar operations work on (and return) plain ints and read no tables; they
+build the tables and are the reference that tests check them against.  Each
+rule is written once: coeffs/from_coeffs is the digit codec through which odd
+extension fields add and negate, and _mul_poly reduces its digit-list product
+with _poly_rem, the reduction the irreducibility test uses.  GF(2^m) keeps a
+carry-less product on the integer bits, which builds its tables 2-3x faster,
+and fields are rebuilt per ensemble op.  sub is add of neg.
+
+The v*-prefixed methods are exact vectorized counterparts on numpy integer
+arrays.  Each op has one path per field kind: XOR in characteristic 2,
+integer arithmetic mod p in prime fields, and lookup tables in extension
+fields.  The mul, inv and conjugation tables are read off the exp/log arrays
+of one primitive element; the addition table adds base-p digits, as vsum
+does, and negation is read off it.  vsub is vadd of vneg.  vsub_outer is the
+fused rank-1 update a - f (x) row that elimination applies at each pivot, in
+place where the field allows.  vconj is the conjugation x -> x^r of an
+even-degree field GF(r^2), r = p^(m/2), which the Hermitian form uses; odd
+degrees raise FieldMismatch.  Each table is a cached property of its field,
+built on first use.
 """
 
 from __future__ import annotations
@@ -67,12 +72,6 @@ _BUILTIN_MODULI = {
 }
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
     """Remainder of num mod den over GF(p); den must be monic."""
     r = list(num)
@@ -82,7 +81,7 @@ def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
         if c:
             for j in range(dd + 1):
                 r[i - dd + j] = (r[i - dd + j] - c * den[j]) % p
-    return _poly_trim([x % p for x in r[:dd]])
+    return [x % p for x in r[:dd]]
 
 
 def _monic_polys(p: int, deg: int):
@@ -103,7 +102,7 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     poly = list(coeffs)
     for deg in range(1, m // 2 + 1):
         for g in _monic_polys(p, deg):
-            if not _poly_rem(poly, g, p):
+            if not any(_poly_rem(poly, g, p)):
                 return False
     return True
 
@@ -172,7 +171,7 @@ class FieldSpec:
         """Base-p digits of a, length m, least significant first."""
         out = []
         for _ in range(self.m):
-            a, r = divmod(a, self.p) if self.p != 2 else (a >> 1, a & 1)
+            a, r = divmod(a, self.p)
             out.append(r)
         return tuple(out)
 
@@ -189,29 +188,16 @@ class FieldSpec:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        p, out, pw = self.p, 0, 1
-        for _ in range(self.m):
-            out += ((a + b) % p) * pw
-            a //= p
-            b //= p
-            pw *= p
-        return out
+        return self.from_coeffs(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
         if self.m == 1:
             return (-a) % self.p
-        p, out, pw = self.p, 0, 1
-        for _ in range(self.m):
-            out += ((p - a % p) % p) * pw
-            a //= p
-            pw *= p
-        return out
+        return self.from_coeffs(-c for c in self.coeffs(a))
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
@@ -236,21 +222,13 @@ class FieldSpec:
         return self._mul_poly(a, b)
 
     def _mul_poly(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        da = self.coeffs(a)
+        conv = [0] * (2 * self.m - 1)
         db = self.coeffs(b)
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(da):
+        for i, ai in enumerate(self.coeffs(a)):
             if ai:
                 for j, bj in enumerate(db):
                     conv[i + j] += ai * bj
-        f = self.modulus
-        for i in range(2 * m - 2, m - 1, -1):
-            c = conv[i] % p
-            if c:
-                for j in range(m):
-                    conv[i - m + j] = (conv[i - m + j] - c * f[j]) % p
-        return self.from_coeffs(conv[:m])
+        return self.from_coeffs(_poly_rem(conv, self.modulus, self.p))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -298,13 +276,17 @@ class FieldSpec:
         t.setflags(write=False)
         return t
 
+    def _pow_table(self, e: int):
+        """a^e for every a != 0 as exp[e * log(a)], and 0 at a = 0."""
+        exp, log = self._explog
+        t = np.zeros(self.q, dtype=np.int64)
+        t[1:] = exp[(e * log[1:]) % (self.q - 1)]
+        return t
+
     @cached_property
     def _inv_table(self) -> tuple[int, ...]:
         """inv[a] for a != 0, as plain ints for scalar lookups; inv[0] is unused."""
-        exp, log = self._explog
-        inv = np.zeros(self.q, dtype=np.int64)
-        inv[1:] = exp[(-log[1:]) % (self.q - 1)]
-        return tuple(inv.tolist())
+        return tuple(self._pow_table(-1).tolist())
 
     @cached_property
     def _add_table(self):
@@ -330,8 +312,7 @@ class FieldSpec:
         """x -> x^r, r = p^(m/2); needs an even degree m."""
         if self.m % 2:
             raise FieldMismatch(f"{self!r} is not a quadratic extension field")
-        r = self.p ** (self.m // 2)
-        t = np.array([self.pow(a, r) for a in range(self.q)], dtype=np.int64)
+        t = self._pow_table(self.p ** (self.m // 2))
         t.setflags(write=False)
         return t
 
@@ -352,11 +333,7 @@ class FieldSpec:
         return self._neg_table[a]
 
     def vsub(self, a, b):
-        if self.p == 2:
-            return np.bitwise_xor(a, b)
-        if self.m == 1:
-            return (np.asarray(a) - b) % self.p
-        return self._add_table[a, self._neg_table[b]]
+        return self.vadd(a, self.vneg(b))
 
     def vmul(self, a, b):
         if self.m == 1:

@@ -478,16 +478,6 @@ class TestBounds:
         assert code == 0
         assert proc.stdout.splitlines() == lines
 
-    def test_extra_columns(self, capsys):
-        code, lines, _ = run(
-            capsys,
-            ["bounds", "--family", "GV", "--delta-step", "0.5",
-             "--extra-columns", "ref_a,ref_b", "--quiet"],
-        )
-        assert code == 0
-        assert lines[0] == "delta,GV[ce=0],ref_a,ref_b"
-        assert lines[1].endswith(",,")
-
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "curves.csv"
         code, lines, _ = run(

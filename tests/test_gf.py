@@ -284,12 +284,23 @@ def test_tables_built_on_first_use():
     assert "_conj_table" in vars(spec)
 
 
+# moduli whose root x is not primitive (order 5 in GF(16), 4 in GF(9)), so
+# the exp/log tables rest on the generator search rather than on x
+NON_PRIMITIVE_X = [
+    pytest.param(FieldSpec(2, 4, modulus=(1, 1, 1, 1, 1)), id="GF(2^4)-x4+x3+x2+x+1"),
+    pytest.param(FieldSpec(3, 2, modulus=(1, 0, 1)), id="GF(3^2)-x2+1"),
+]
+
+
 @pytest.mark.parametrize(
-    "spec", [FieldSpec(p, m) for p, m in gf._BUILTIN_MODULI], ids=repr
+    "spec",
+    [pytest.param(FieldSpec(p, m), id=f"GF({p}^{m})") for p, m in gf._BUILTIN_MODULI]
+    + NON_PRIMITIVE_X,
 )
 def test_tables_match_scalar_reference(spec):
     # every entry of every table the field builds, against the table-free
-    # scalar ops; add and neg tables exist only in odd characteristic
+    # scalar ops; add and neg tables exist only in odd characteristic, the
+    # conjugation table only in even degree
     q = spec.q
     mul = spec._mul_table
     inv = spec._inv_table
@@ -298,6 +309,11 @@ def test_tables_match_scalar_reference(spec):
             assert mul[a, b] == spec.mul(a, b)
         if a:
             assert spec.mul(a, inv[a]) == 1
+    if spec.m % 2 == 0:
+        r = spec.p ** (spec.m // 2)
+        conj = spec._conj_table
+        for a in range(q):
+            assert conj[a] == spec.pow(a, r)
     if spec.p == 2:
         return
     add = spec._add_table
