@@ -14,13 +14,15 @@ monic polynomials of degree <= m/2.  Supported fields: prime q <= 2**20, and
 extension fields q <= 1024 (_TABLE_CAP), whose vector ops read full q x q
 tables.
 
-Scalar operations work on (and return) plain ints and read no tables; they
-build the tables and are the reference that tests check them against.  Each
-rule is written once: coeffs/from_coeffs is the digit codec through which odd
-extension fields add and negate, and _mul_poly reduces its digit-list product
-with _poly_rem, the reduction the irreducibility test uses.  GF(2^m) keeps a
-carry-less product on the integer bits, which builds its tables 2-3x faster,
-and fields are rebuilt per ensemble op.  sub is add of neg.
+Scalar operations work on (and return) plain ints.  add, neg, sub (add of
+neg), mul and pow to a nonnegative power read no tables; they build the
+tables and are the reference that tests check them against.  Scalar inv of
+an extension field reads _inv_table, which test_inv_matches_fermat_power
+checks against the table-free pow.  Each rule is written once: odd extension
+fields add and negate through the digit codec coeffs/from_coeffs, and
+_mul_poly reduces its product with _poly_rem, as the irreducibility test
+does.  GF(2^m) keeps a carry-less product on the integer bits, which builds
+its tables 2-3x faster, and fields are rebuilt per ensemble op.
 
 The v*-prefixed methods are exact vectorized counterparts on numpy integer
 arrays.  Each op has one path per field kind: XOR in characteristic 2,

@@ -15,7 +15,7 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from eaqec import ensemble
+from eaqec import ensemble, gf
 from eaqec.ensemble import (
     ClassStat,
     EnsembleSpec,
@@ -431,9 +431,18 @@ class TestExhaustive:
         assert report.classes[:2] == stats
         assert report.inner_matrices == matrices
 
-    def test_outer_gf16_matches_whole_matrix_oracle(self):
-        report = ensemble_exhaustive(2, 2, 2, 1)  # outer field GF(4^kbar1) = GF(16)
-        stats, matrices = whole_matrix_classes("outer", FieldSpec(2, 4), 2, 1)
+    @pytest.mark.parametrize(
+        "n1,k1,n2,k2,m",
+        [
+            (2, 2, 2, 1, 4),  # outer field GF(4^kbar1) = GF(16)
+            (1, 1, 2, 2, 2),  # r2 = 0: P has no column, so every v is killed
+            (2, 1, 2, 2, 2),
+            (2, 1, 3, 2, 2),  # k2 = 2: columns of P range over GF(4)^2
+        ],
+    )
+    def test_outer_gf16_matches_whole_matrix_oracle(self, n1, k1, n2, k2, m):
+        report = ensemble_exhaustive(n1, k1, n2, k2)
+        stats, matrices = whole_matrix_classes("outer", FieldSpec(2, m), n2, k2)
         assert report.classes[2:] == stats
         assert report.outer_matrices == matrices
 
@@ -465,8 +474,11 @@ class TestExhaustive:
         assert "FAIL" not in text
         assert text.endswith("all identities hold")
 
-    def test_caps(self):
+    def test_caps(self, monkeypatch):
         with pytest.raises(TooLarge):
             ensemble_exhaustive(4, 2, 2, 1)
+        built, build = [], gf.field_of_order
+        monkeypatch.setattr(gf, "field_of_order", lambda q: built.append(q) or build(q))
         with pytest.raises(TooLarge):
             ensemble_exhaustive(2, 2, 6, 1)  # 16^6 test vectors
+        assert built == [4]  # the inner GF(4); GF(16) is refused before it is built
