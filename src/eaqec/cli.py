@@ -150,34 +150,24 @@ def cmd_concat(args, out: _Out) -> int:
 
 
 def cmd_audit(args, out: _Out) -> int:
-    from .concat import (
-        audit_tables,
-        is_known_discrepancy,
-        load_bundled_tables,
-        parse_table_file,
-    )
+    from .concat import audit_tables, load_bundled_tables, parse_table_file
 
     if args.tables is None:
         rows = load_bundled_tables()
     else:
         rows = parse_table_file(_read_text(args.tables))
-    report = audit_tables(rows)
-    known = 0
-    unexpected = 0
-    for verdict in report.verdicts:
+    verdicts = audit_tables(rows)
+    for verdict in verdicts:
         row = verdict.row
         mismatches = "; ".join(
             f"{m.field} expected={m.expected} published={m.published}"
             for m in verdict.mismatches
         )
-        is_known = not verdict.consistent and is_known_discrepancy(verdict)
         if verdict.consistent:
             status = "consistent"
-        elif is_known:
-            known += 1
+        elif verdict.known:
             status = "MISMATCH (known) " + mismatches
         else:
-            unexpected += 1
             status = "MISMATCH " + mismatches
         out.line(f"{row.label()} {row.published.render()}: {status}")
         out.record(
@@ -187,22 +177,21 @@ def cmd_audit(args, out: _Out) -> int:
                 "index": row.index,
                 "published": row.published.render(),
                 "consistent": verdict.consistent,
-                "known": is_known,
+                "known": verdict.known,
                 "mismatches": [
                     {"field": m.field, "expected": m.expected, "published": m.published}
                     for m in verdict.mismatches
                 ],
             }
         )
+    consistent = sum(v.consistent for v in verdicts)
+    known = sum(v.known for v in verdicts)
+    unexpected = len(verdicts) - consistent - known
     out.line(
-        f"rows={report.total} consistent={report.consistent} "
+        f"rows={len(verdicts)} consistent={consistent} "
         f"known_issues={known} unexpected={unexpected}"
     )
-    if unexpected > 0:
-        return 1
-    if known > 0 and not args.allow_known:
-        return 1
-    return 0
+    return 1 if unexpected or (known and not args.allow_known) else 0
 
 
 def _parse_m_range(text: str) -> range:

@@ -14,16 +14,19 @@ The bundled tables (see data/concat_tables.txt) are audited by re-deriving
 every row from its stated components and transform.  Rows whose outer code is
 given in net form (k marked with '*', c not printed) are re-derived for two
 sample values of the outer entanglement; the printed columns are invariant in
-that parameter, which is itself checked.
+that parameter, which is itself checked.  audit_tables returns one RowVerdict
+per row: its mismatches, and whether they are exactly the one documented
+discrepancy (known).
 
 Table file format, one row per line, '#' starts a comment:
 
     table-id|inner|outer|transform|published|comparator|comparator
 
-with tuples serialized as 'n,k,d,c,q' where k may carry a '*' net marker,
-d may carry a '>=' prefix, and c may be '?' when the source does not print it.
-transform is 'base', 'extend+t', or 'expurgate-t' (t cumulative from the
-block's base row).  Comparator fields are carried verbatim and not audited.
+with each tuple in the 'n,k,d,c,q' text of eaqecc.TableTuple, the one codec
+shared with the CLI's --inner/--outer: k may carry a '*' net marker, d a '>='
+prefix, and c may be '?' when the source does not print it.  transform is
+'base', 'extend+t', or 'expurgate-t' (t cumulative from the block's base
+row).  Comparator fields are carried verbatim and not audited.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import cached_property
 from importlib import resources
 
 from .codes import Distance
-from .eaqecc import Concatenated, EaqeccParams, Expurgated, Extended
+from .eaqecc import Concatenated, EaqeccParams, Expurgated, Extended, TableTuple
 from .errors import (
     AlphabetMismatch,
     EaqecError,
@@ -129,25 +132,6 @@ def expurgate(code: EaqeccParams, t: int) -> EaqeccParams:
 
 
 @dataclass(frozen=True)
-class TableTuple:
-    """One serialized parameter tuple from a table row."""
-
-    n: int
-    k: int
-    k_is_net: bool
-    d: Distance
-    c: int | None
-    q: int
-
-    def render(self) -> str:
-        star = "*" if self.k_is_net else ""
-        body = f"{self.n},{self.k}{star},{self.d.render()}"
-        if self.c is not None:
-            body += f";{self.c}"
-        return f"[[{body}]]_{self.q}"
-
-
-@dataclass(frozen=True)
 class TableRow:
     table: str
     index: int
@@ -164,27 +148,23 @@ class TableRow:
 
     @cached_property
     def derived(self) -> EaqeccParams:
-        """derive_row(self), computed once."""
-        return derive_row(self)
+        """The published parameters re-derived from components and transform, once.
 
-
-def _parse_tuple(tok: str, where: str) -> TableTuple:
-    parts = [p.strip() for p in tok.split(",")]
-    if len(parts) != 5:
-        raise ParseError(f"{where}: expected 'n,k,d,c,q', got {tok!r}")
-    try:
-        n = int(parts[0])
-        ktok = parts[1]
-        k_is_net = ktok.endswith("*")
-        k = int(ktok[:-1] if k_is_net else ktok)
-        d = Distance.parse(parts[2])
-        c = None if parts[3] == "?" else int(parts[3])
-        q = int(parts[4])
-    except ValueError as e:
-        raise ParseError(f"{where}: bad tuple {tok!r} ({e})") from None
-    if n < 1 or q < 2:
-        raise ParseError(f"{where}: bad tuple {tok!r}")
-    return TableTuple(n=n, k=k, k_is_net=k_is_net, d=d, c=c, q=q)
+        A net-form outer (k starred, c not printed) is built at two sample
+        entanglements c2 = 0 and 1; the derivable columns must not depend on
+        the choice.
+        """
+        inner = self.inner.build()
+        name, t = self.transform
+        codes = []
+        for c2 in (0, 1) if self.outer.k_is_net else (None,):
+            code = concatenate(inner, self.outer.build(c2))
+            # extend(code, 0) is code itself, so "base" takes that branch
+            codes.append(expurgate(code, t) if name == "expurgate" else extend(code, t))
+        a, b = codes[0], codes[-1]
+        if (a.n, a.net, a.d) != (b.n, b.net, b.d):
+            raise AssertionError("net-form derivation depends on the outer entanglement")
+        return a
 
 
 def _parse_transform(tok: str, where: str) -> tuple[str, int]:
@@ -217,14 +197,14 @@ def parse_table_file(text: str) -> list[TableRow]:
         table = fields[0]
         if table not in TABLE_IDS:
             raise ParseError(f"{where}: unknown table id {table!r}")
-        inner = _parse_tuple(fields[1], where)
+        inner = TableTuple.parse(fields[1], where)
         if inner.k_is_net or inner.c is None:
             raise ParseError(f"{where}: inner tuple must be fully specified")
-        outer = _parse_tuple(fields[2], where)
+        outer = TableTuple.parse(fields[2], where)
         if not outer.k_is_net and outer.c is None:
             raise ParseError(f"{where}: outer tuple needs either plain k with c, or net k")
         transform = _parse_transform(fields[3], where)
-        published = _parse_tuple(fields[4], where)
+        published = TableTuple.parse(fields[4], where)
         counters[table] += 1
         row = TableRow(
             table=table,
@@ -260,102 +240,35 @@ class Mismatch:
 
 @dataclass(frozen=True)
 class RowVerdict:
+    """A row's mismatches; known marks exactly the one documented discrepancy."""
+
     row: TableRow
     mismatches: tuple[Mismatch, ...]
+    known: bool
 
     @property
     def consistent(self) -> bool:
         return not self.mismatches
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    verdicts: tuple[RowVerdict, ...]
-
-    @property
-    def total(self) -> int:
-        return len(self.verdicts)
-
-    @property
-    def consistent(self) -> int:
-        return sum(1 for v in self.verdicts if v.consistent)
-
-    @property
-    def failures(self) -> tuple[RowVerdict, ...]:
-        return tuple(v for v in self.verdicts if not v.consistent)
-
-
-def _literal(tt: TableTuple, c_override: int | None = None) -> EaqeccParams:
-    c = tt.c if c_override is None else c_override
-    k = tt.k + (c if tt.k_is_net else 0)
-    return EaqeccParams(q=tt.q, n=tt.n, k=k, d=tt.d, c=c)
-
-
-def _apply_transform(base: EaqeccParams, transform: tuple[str, int]) -> EaqeccParams:
-    name, t = transform
-    if name == "base":
-        return base
-    if name == "extend":
-        return extend(base, t)
-    return expurgate(base, t)
-
-
-def derive_row(row: TableRow) -> EaqeccParams:
-    """Re-derive a row's published parameters from its components and transform.
-
-    Net-form outers (k starred, c not printed) are instantiated at two sample
-    entanglement values; the derivable columns must not depend on the choice.
-    """
-    inner = _literal(row.inner)
-    if row.outer.k_is_net:
-        variants = []
-        for c2 in (0, 1):
-            outer = _literal(row.outer, c_override=c2)
-            variants.append(_apply_transform(concatenate(inner, outer), row.transform))
-        a, b = variants
-        if (a.n, a.net, a.d) != (b.n, b.net, b.d):
-            raise AssertionError("net-form derivation depends on the outer entanglement")
-        return a
-    outer = _literal(row.outer)
-    return _apply_transform(concatenate(inner, outer), row.transform)
+# The one documented inconsistency in the bundled tables: row IV [[46,2,36;34]]
+# prints an entanglement figure of 34 where the block accounting gives 44.
+_KNOWN_PUBLISHED = TableTuple(n=46, k=2, k_is_net=False, d=Distance.exact(36), c=34, q=2)
+_KNOWN = ((Mismatch("c", 44, 34),), "IV", _KNOWN_PUBLISHED)
 
 
 def audit_row(row: TableRow) -> RowVerdict:
-    derived = row.derived
-    pub = row.published
-    mismatches = []
-    if derived.n != pub.n:
-        mismatches.append(Mismatch("n", derived.n, pub.n))
-    if pub.k_is_net:
-        if derived.net != pub.k:
-            mismatches.append(Mismatch("net", derived.net, pub.k))
-    else:
-        if derived.k != pub.k:
-            mismatches.append(Mismatch("k", derived.k, pub.k))
-    if derived.d.require() != pub.d.require():
-        mismatches.append(Mismatch("d", derived.d.require(), pub.d.require()))
-    if pub.c is not None and derived.c != pub.c:
-        mismatches.append(Mismatch("c", derived.c, pub.c))
-    return RowVerdict(row, tuple(mismatches))
+    derived, pub = row.derived, row.published
+    checks = (
+        ("n", derived.n, pub.n),
+        ("net", derived.net, pub.k) if pub.k_is_net else ("k", derived.k, pub.k),
+        ("d", derived.d.require(), pub.d.require()),
+        ("c", derived.c, pub.c),  # None when the row does not print c
+    )
+    mismatches = tuple([Mismatch(*m) for m in checks if m[2] is not None and m[1] != m[2]])
+    return RowVerdict(row, mismatches, (mismatches, row.table, pub) == _KNOWN)
 
 
-def audit_tables(rows) -> AuditReport:
-    """Audit rows in order; deterministic, machine-readable report."""
-    return AuditReport(tuple(audit_row(r) for r in rows))
-
-
-# The one documented inconsistency in the bundled tables: row IV [[46,2,36;34]]
-# prints an entanglement figure of 34 where the block accounting gives 44.
-_KNOWN = (("IV", (46, 2, 36, 34, 2), "c", 44),)
-
-
-def is_known_discrepancy(verdict: RowVerdict) -> bool:
-    pub = verdict.row.published
-    key = (verdict.row.table, (pub.n, pub.k, pub.d.require(), pub.c, pub.q))
-    for table, pubkey, fieldname, expected in _KNOWN:
-        if key == (table, pubkey):
-            return all(
-                m.field == fieldname and m.expected == expected
-                for m in verdict.mismatches
-            )
-    return False
+def audit_tables(rows) -> tuple[RowVerdict, ...]:
+    """Audit rows in order: one verdict per row."""
+    return tuple(audit_row(r) for r in rows)

@@ -11,6 +11,10 @@ Two constructions produce these from classical codes:
 In both cases c is computed along two independent routes, a Gram-matrix rank
 and a dual-intersection dimension, and the construction refuses to return if
 the routes disagree.  Constructed distances are stored as design lower bounds.
+
+TableTuple is the one codec of the printed tuple text 'n,k,d,c,q', where a
+table may star k as the net k - c and print c as '?'; parse_params reads a
+fully specified tuple through it, and format_params writes one back.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .errors import (
     EntanglementFormulaMismatch,
     FieldMismatch,
     LengthMismatch,
+    ParseError,
 )
 from .primes import prime_power
 
@@ -225,23 +230,62 @@ def hermitian_construct(code: ClassicalCode, q0: int) -> EaqeccParams:
     )
 
 
-def parse_params(text: str) -> EaqeccParams:
-    """Parse 'n,k,d,c,q' (d may carry a '>=' prefix) into a parameter tuple."""
-    from .errors import ParseError
+@dataclass(frozen=True)
+class TableTuple:
+    """A printed tuple 'n,k,d,c,q' as it stands, before it is built.
 
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 5:
-        raise ParseError(f"expected 'n,k,d,c,q', got {text!r}")
+    k may carry a '*' marking it as the net transmission k - c, d a '>='
+    prefix, and c may be '?' where the source does not print it.
+    """
+
+    n: int
+    k: int
+    k_is_net: bool
+    d: Distance
+    c: int | None
+    q: int
+
+    @classmethod
+    def parse(cls, text: str, where: str = "") -> TableTuple:
+        """The one parser of 'n,k,d,c,q' text; errors name `where` when given."""
+        at = f"{where}: " if where else ""
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) != 5:
+            raise ParseError(f"{at}expected 'n,k,d,c,q', got {text!r}")
+        try:
+            n = int(parts[0])
+            k_is_net = parts[1].endswith("*")
+            k = int(parts[1].removesuffix("*"))
+            d = Distance.parse(parts[2])
+            c = None if parts[3] == "?" else int(parts[3])
+            q = int(parts[4])
+        except ValueError as e:
+            raise ParseError(f"{at}bad tuple {text!r} ({e})") from None
+        if n < 1 or q < 2:
+            raise ParseError(f"{at}bad tuple {text!r}")
+        return cls(n=n, k=k, k_is_net=k_is_net, d=d, c=c, q=q)
+
+    def render(self) -> str:
+        star = "*" if self.k_is_net else ""
+        body = f"{self.n},{self.k}{star},{self.d.render()}"
+        if self.c is not None:
+            body += f";{self.c}"
+        return f"[[{body}]]_{self.q}"
+
+    def build(self, c: int | None = None) -> EaqeccParams:
+        """The literal parameters; c, when given, stands in for the printed one."""
+        c = self.c if c is None else c
+        k = self.k + (c if self.k_is_net else 0)
+        return EaqeccParams(q=self.q, n=self.n, k=k, d=self.d, c=c)
+
+
+def parse_params(text: str) -> EaqeccParams:
+    """Parse a fully specified 'n,k,d,c,q' (d may carry '>=') into a parameter tuple."""
+    tt = TableTuple.parse(text)
+    if tt.k_is_net or tt.c is None:
+        raise ParseError(f"parameter tuple {text!r} must be fully specified")
     try:
-        n = int(parts[0])
-        k = int(parts[1])
-        d = Distance.parse(parts[2])
-        c = int(parts[3])
-        q = int(parts[4])
-    except ValueError as e:
-        raise ParseError(f"bad parameter tuple {text!r}: {e}") from None
-    try:
-        return EaqeccParams(q=q, n=n, k=k, d=d, c=c)
+        return tt.build()
     except (ValueError, DistanceUnknown) as e:
         raise ParseError(f"bad parameter tuple {text!r}: {e}") from None
 

@@ -39,6 +39,8 @@ if TYPE_CHECKING:
 _MAX_COEFFS = 10**4
 _MAX_ENSEMBLE = 1 << 24
 _MAX_VECTOR_SPACE = 1 << 20
+# _syndrome_classes does q^k * q^k * k column products, all of its work when r = 0
+_MAX_COLUMN_WORK = 1 << 27
 # nt_w_bruteforce walks its index range in chunks of this many vectors
 _CHUNK = 1 << 16
 
@@ -427,6 +429,8 @@ def ensemble_exhaustive(n1: int, k1: int, n2: int, k2: int) -> EnsembleReport:
     outer_total = (q_outer**k2) ** spec.r2
     if inner_total * outer_total > _MAX_ENSEMBLE:
         raise TooLarge("ensemble larger than the enumeration cap")
+    if q_outer ** (2 * k2) * k2 > _MAX_COLUMN_WORK:
+        raise TooLarge(f"{q_outer}^{2 * k2} * {k2} column products exceed the enumeration cap")
     inner_zero, inner_nonzero = _syndrome_classes("inner", 4, n1, k1)
     outer_zero, outer_nonzero = _syndrome_classes("outer", q_outer, n2, k2)
     return EnsembleReport(

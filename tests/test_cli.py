@@ -334,6 +334,23 @@ class TestAudit:
         assert lines[0].startswith("I:001 base [[93,2*,>=22]]_2: MISMATCH n expected=92")
         assert lines[-1] == "rows=1 consistent=0 known_issues=0 unexpected=1"
 
+    @pytest.mark.parametrize(
+        "published, code, status",
+        [
+            ("46,2,36,34,2", 0, "MISMATCH (known) c expected=44 published=34"),
+            ("46,2,36,35,2", 1, "MISMATCH c expected=44 published=35"),
+            ("47,2,36,34,2", 1, "MISMATCH n expected=46 published=47; c expected=44"),
+        ],
+    )
+    def test_only_the_exact_known_row_is_allowed(
+        self, capsys, tmp_path, published, code, status
+    ):
+        row = f"IV|23,2,18,21,2|2,1,2,1,4|base|{published}|opt_d=36|\n"
+        path = write(tmp_path, "t.txt", row)
+        got, lines, _ = run(capsys, ["audit", "--tables", path, "--allow-known", "--quiet"])
+        assert got == code
+        assert status in lines[0]
+
     def test_empty_table_file(self, capsys, tmp_path):
         path = write(tmp_path, "t.txt", "# nothing here\n")
         code, lines, _ = run(capsys, ["audit", "--tables", path, "--quiet"])

@@ -7,15 +7,11 @@ import pytest
 from eaqec import concat
 from eaqec.codes import Distance
 from eaqec.concat import (
-    AuditReport,
-    TableTuple,
     audit_row,
     audit_tables,
     concatenate,
-    derive_row,
     expurgate,
     extend,
-    is_known_discrepancy,
     load_bundled_tables,
     maximal_entanglement_closure_check,
     parse_table_file,
@@ -25,6 +21,7 @@ from eaqec.eaqecc import (
     EaqeccParams,
     Expurgated,
     Extended,
+    TableTuple,
     ea_singleton_defect,
     parse_params,
 )
@@ -271,14 +268,13 @@ class TestBundledTables:
                 assert not r.published.k_is_net and r.published.c is not None
 
     def test_audit_summary(self, report):
-        assert isinstance(report, AuditReport)
-        assert report.total == 141
-        assert report.consistent == 140
-        assert len(report.failures) == 1
+        assert isinstance(report, tuple) and len(report) == 141
+        assert sum(v.consistent for v in report) == 140
+        assert sum(v.known for v in report) == 1
 
     def test_single_failure_is_the_known_one(self, report):
-        (bad,) = report.failures
-        assert is_known_discrepancy(bad)
+        (bad,) = [v for v in report if not v.consistent]
+        assert bad.known
         assert bad.row.table == "IV"
         assert bad.row.published.render() == "[[46,2,36;34]]_2"
         (mm,) = bad.mismatches
@@ -315,7 +311,7 @@ class TestBundledTables:
         # the printed columns cannot depend on the unprinted outer entanglement
         sample = [r for r in rows if r.table == "II"][:10]
         for r in sample:
-            derived = derive_row(r)
+            derived = r.derived
             for c2 in (0, 1, 2):
                 outer = EaqeccParams(
                     q=4, n=r.outer.n, k=r.outer.k + c2, d=r.outer.d, c=c2
@@ -343,7 +339,7 @@ class TestBundledTables:
 
     def test_derive_row_table_iv(self, rows):
         row = next(r for r in rows if r.table == "IV")
-        code = derive_row(row)
+        code = row.derived
         assert (code.n, code.k, code.c) == (6, 2, 4)
 
     def test_corrupted_row_is_flagged_as_unknown(self, rows):
@@ -369,7 +365,7 @@ class TestBundledTables:
         )
         assert not verdict.consistent
         assert [m.field for m in verdict.mismatches] == ["n"]
-        assert not is_known_discrepancy(verdict)
+        assert not verdict.known
 
     @pytest.mark.parametrize(
         "table, field",
@@ -384,4 +380,36 @@ class TestBundledTables:
             broken = dataclasses.replace(pub, k=pub.k + 1)
         verdict = audit_row(dataclasses.replace(row, published=broken))
         assert [m.field for m in verdict.mismatches] == [field]
-        assert not is_known_discrepancy(verdict)
+        assert not verdict.known
+
+
+KNOWN_LINE = "IV|23,2,18,21,2|2,1,2,1,4|base|46,2,36,34,2|opt_d=36|"
+
+
+class TestKnownDiscrepancy:
+    """Only the documented row with exactly its documented mismatch is known."""
+
+    def test_the_documented_row(self):
+        (verdict,) = audit_tables(parse_table_file(KNOWN_LINE))
+        assert verdict.known and not verdict.consistent
+        assert verdict.mismatches == (concat.Mismatch("c", 44, 34),)
+
+    @pytest.mark.parametrize(
+        "old, new, fields",
+        [
+            ("46,2,36,34,2", "46,2,36,35,2", ["c"]),  # published c = 35
+            ("46,2,36,34,2", "47,2,36,34,2", ["n", "c"]),  # published n = 47
+            ("46,2,36,34,2", "46,2,>=36,34,2", ["c"]),  # published d as a bound
+            ("IV|", "III|", ["c"]),  # the same tuple in another table
+            ("23,2,18,21,2", "23,2,18,20,2", ["c"]),  # components give c = 42
+        ],
+    )
+    def test_any_other_mismatch_is_unexpected(self, old, new, fields):
+        (verdict,) = audit_tables(parse_table_file(KNOWN_LINE.replace(old, new, 1)))
+        assert [m.field for m in verdict.mismatches] == fields
+        assert not verdict.known
+
+    def test_documented_tuple_without_its_mismatch_is_not_known(self):
+        # inner c1 = 16 gives c = 16 * 2 + 1 * 2 = 34, as printed
+        (verdict,) = audit_tables(parse_table_file(KNOWN_LINE.replace(",21,", ",16,", 1)))
+        assert verdict.consistent and not verdict.known

@@ -10,6 +10,7 @@ from eaqec.eaqecc import (
     CssSource,
     EaqeccParams,
     HermitianSource,
+    TableTuple,
     css_construct,
     css_entanglement,
     ea_singleton_defect,
@@ -316,3 +317,36 @@ class TestParseFormat:
         ):
             with pytest.raises(ParseError):
                 parse_params(bad)
+
+    def test_net_marker_and_unprinted_c_need_a_full_tuple(self):
+        for bad in ("3,2*,2,1,2", "3,2,2,?,2", "3,2*,2,?,2"):
+            with pytest.raises(ParseError, match="must be fully specified"):
+                parse_params(bad)
+
+
+class TestTableTuple:
+    def test_parse_render_build(self):
+        tt = TableTuple.parse("23, 1*, >=11, ?, 4")
+        bound = Distance.lower_bound(11)
+        assert tt == TableTuple(n=23, k=1, k_is_net=True, d=bound, c=None, q=4)
+        assert tt.render() == "[[23,1*,>=11]]_4"
+        # a net-form k is completed by the entanglement it is built with
+        assert tt.build(3) == EaqeccParams(q=4, n=23, k=4, d=bound, c=3)
+        plain = TableTuple.parse("46,2,36,34,2")
+        assert plain.render() == "[[46,2,36;34]]_2"
+        assert plain.build() == parse_params("46,2,36,34,2")
+
+    @pytest.mark.parametrize(
+        "text, where, message",
+        [
+            ("4,2,2,0", "line 7", "line 7: expected 'n,k,d,c,q', got '4,2,2,0'"),
+            ("4,2,2,0", "", "expected 'n,k,d,c,q', got '4,2,2,0'"),
+            ("4,two,2,0,2", "line 7", "line 7: bad tuple '4,two,2,0,2' (invalid literal"),
+            ("0,0,1,0,2", "", "bad tuple '0,0,1,0,2'"),
+            ("4,2,2,0,1", "", "bad tuple '4,2,2,0,1'"),
+        ],
+    )
+    def test_errors_name_where(self, text, where, message):
+        with pytest.raises(ParseError) as info:
+            TableTuple.parse(text, where)
+        assert str(info.value).startswith(message)

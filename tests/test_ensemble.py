@@ -482,3 +482,26 @@ class TestExhaustive:
         with pytest.raises(TooLarge):
             ensemble_exhaustive(2, 2, 6, 1)  # 16^6 test vectors
         assert built == [4]  # the inner GF(4); GF(16) is refused before it is built
+
+    @pytest.mark.parametrize(
+        "spec, admitted",
+        [
+            # r2 = 0 leaves only the q^k * q^k * k column products of the outer
+            # experiment: 4^14 * 7 ~ 1.9e9 ran for 21 s, (1,1,10,10) for about a day
+            ((1, 1, 7, 7), False),
+            ((1, 1, 10, 10), False),
+            # the largest specs near the cap, 1.0e8 and 5.0e7 products, about 1 s each
+            ((1, 1, 6, 6), True),
+            ((2, 2, 4, 3), True),
+        ],
+    )
+    def test_column_work_decided_before_enumerating(self, monkeypatch, spec, admitted):
+        class Started(Exception):
+            pass
+
+        def start(*args):
+            raise Started
+
+        monkeypatch.setattr(ensemble, "_syndrome_classes", start)
+        with pytest.raises(Started if admitted else TooLarge):
+            ensemble_exhaustive(*spec)
