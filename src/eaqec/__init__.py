@@ -16,14 +16,12 @@ _SOURCES = {
     "ClassicalCode": "codes",
     "Distance": "codes",
     "dual": "codes",
-    "hermitian_dual": "codes",
     "min_distance": "codes",
     "audit_tables": "concat",
     "concatenate": "concat",
     "expurgate": "concat",
     "extend": "concat",
     "load_bundled_tables": "concat",
-    "maximal_entanglement_closure_check": "concat",
     "EaqeccParams": "eaqecc",
     "css_construct": "eaqecc",
     "css_entanglement": "eaqecc",

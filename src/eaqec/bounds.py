@@ -214,12 +214,6 @@ def _resolve(family: str, params: dict):
     return _FAMILIES[family](params)
 
 
-def family_domain(family: str, **params) -> tuple[float, float, bool]:
-    """(delta_min, delta_max, max_included) for a validated family."""
-    _, hi, closed = _resolve(family, params)
-    return (0.0, hi, closed)
-
-
 def rate_value(family: str, delta: float, **params) -> float:
     """Rate of one family at one delta; DomainError outside the stated domain."""
     rate, hi, closed = _resolve(family, params)

@@ -170,17 +170,6 @@ def dual(code: ClassicalCode) -> ClassicalCode:
     return ClassicalCode._trusted(code.H, code.G, Distance.unknown())
 
 
-def hermitian_dual(code: ClassicalCode) -> ClassicalCode:
-    """Dual under the form <u, v> = sum(u_i * conj(v_i)), for codes over GF(r^2).
-
-    Equals the entrywise conjugate of the ordinary dual, so its generator is
-    the conjugated parity check of the input.  Conjugation is a field
-    automorphism, so it keeps both ranks and G @ H.T == 0.  Fields of odd
-    degree have no conjugation and raise FieldMismatch.
-    """
-    return ClassicalCode._trusted(code.H.conj(), code.G.conj(), Distance.unknown())
-
-
 def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
     """Brute-force minimum distance by message-space enumeration.
 

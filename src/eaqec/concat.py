@@ -8,7 +8,9 @@ Concatenating an inner [[n1, k1, d1; c1]]_q block with an outer
 Two length transforms used by the bundled parameter tables are provided:
 extension (pad t positions: n+t, same k, same c, distance kept as a bound)
 and expurgation (replace t inner [[4,2,2;0]]_2 blocks by [[3,2,2;1]]_2:
-n-t, same k, c+t, so the net rate drops by t).
+n-t, same k, c+t, so the net rate drops by t).  Provenance ops: "concat"
+(inner, outer), "extend" and "expurgate" (base, t); expurgation reads its
+inner block back from a "concat" provenance and refuses any other.
 
 The bundled tables (see data/concat_tables.txt) are audited by re-deriving
 every row from its stated components and transform.  Rows whose outer code is
@@ -36,7 +38,7 @@ from functools import cached_property
 from importlib import resources
 
 from .codes import Distance
-from .eaqecc import Concatenated, EaqeccParams, Expurgated, Extended, TableTuple
+from .eaqecc import EaqeccParams, Provenance, TableTuple
 from .errors import (
     AlphabetMismatch,
     EaqecError,
@@ -65,20 +67,8 @@ def concatenate(inner: EaqeccParams, outer: EaqeccParams) -> EaqeccParams:
         k=inner.k * outer.k,
         d=Distance.lower_bound(d),
         c=inner.c * outer.n + outer.c * inner.k,
-        provenance=Concatenated(inner, outer),
+        provenance=Provenance("concat", (inner, outer)),
     )
-
-
-def maximal_entanglement_closure_check(inner: EaqeccParams, outer: EaqeccParams) -> bool:
-    """If both components are maximal-entanglement, so is the concatenation.
-
-    Returns True when the law holds (vacuously when a component is not
-    maximal), i.e. checks c_e = n1*n2 - k1*k2 under the maximal hypothesis.
-    """
-    result = concatenate(inner, outer)
-    if inner.is_maximal and outer.is_maximal:
-        return result.c == result.n - result.k
-    return True
 
 
 def extend(code: EaqeccParams, t: int) -> EaqeccParams:
@@ -93,7 +83,7 @@ def extend(code: EaqeccParams, t: int) -> EaqeccParams:
         k=code.k,
         d=Distance.lower_bound(code.d.require()),
         c=code.c,
-        provenance=Extended(code, t),
+        provenance=Provenance("extend", (code, t)),
     )
 
 
@@ -107,24 +97,24 @@ def expurgate(code: EaqeccParams, t: int) -> EaqeccParams:
     [[n-t, k, >=d; c+t]], dropping the net rate by t.  Requires 1 <= t <= n2.
     """
     prov = code.provenance
-    if not isinstance(prov, Concatenated):
+    if prov is None or prov.op != "concat":
         raise ProvenanceMismatch("expurgation applies only to concatenated codes")
-    inner = prov.inner
+    inner, outer = prov.args
     if (inner.n, inner.k, inner.d.require(), inner.c, inner.q) != _EXPURGATION_INNER:
         raise ProvenanceMismatch(
             f"expurgation needs inner [[4,2,2;0]]_2, found {inner.render()}"
         )
     if not isinstance(t, int) or t < 1:
         raise ValueError(f"expurgation amount must be a positive integer, got {t!r}")
-    if t > prov.outer.n:
-        raise TooManyBlocks(f"cannot replace {t} of {prov.outer.n} inner blocks")
+    if t > outer.n:
+        raise TooManyBlocks(f"cannot replace {t} of {outer.n} inner blocks")
     return EaqeccParams(
         q=code.q,
         n=code.n - t,
         k=code.k,
         d=Distance.lower_bound(code.d.require()),
         c=code.c + t,
-        provenance=Expurgated(code, t),
+        provenance=Provenance("expurgate", (code, t)),
     )
 
 

@@ -12,6 +12,11 @@ In both cases c is computed along two independent routes, a Gram-matrix rank
 and a dual-intersection dimension, and the construction refuses to return if
 the routes disagree.  Constructed distances are stored as design lower bounds.
 
+A constructed code records its last step as Provenance(op, args), op the CLI
+subcommand: "css" (c1, c2), "hermitian" (code, q0), and from eaqec.concat
+"concat" (inner, outer), "extend" and "expurgate" (base, t).  The args lead
+back down the chain; provenance None marks a literal tuple.
+
 TableTuple is the one codec of the printed tuple text 'n,k,d,c,q', where a
 table may star k as the net k - c and print c as '?'; parse_params reads a
 fully specified tuple through it, and format_params writes one back.
@@ -38,33 +43,11 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class CssSource:
-    c1: ClassicalCode
-    c2: ClassicalCode
+class Provenance:
+    """One construction step: op is the CLI subcommand, args its inputs."""
 
-
-@dataclass(frozen=True)
-class HermitianSource:
-    code: ClassicalCode
-    base_q: int
-
-
-@dataclass(frozen=True)
-class Concatenated:
-    inner: "EaqeccParams"
-    outer: "EaqeccParams"
-
-
-@dataclass(frozen=True)
-class Extended:
-    base: "EaqeccParams"
-    added: int
-
-
-@dataclass(frozen=True)
-class Expurgated:
-    base: "EaqeccParams"
-    removed: int
+    op: str
+    args: tuple
 
 
 @dataclass(frozen=True)
@@ -81,7 +64,7 @@ class EaqeccParams:
     k: int
     d: Distance
     c: int
-    provenance: object | None = field(default=None, compare=False)
+    provenance: Provenance | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if prime_power(self.q) is None:
@@ -197,7 +180,7 @@ def css_construct(c1: ClassicalCode, c2: ClassicalCode) -> EaqeccParams:
         k=k,
         d=Distance.lower_bound(d),
         c=c,
-        provenance=CssSource(c1, c2),
+        provenance=Provenance("css", (c1, c2)),
     )
 
 
@@ -226,7 +209,7 @@ def hermitian_construct(code: ClassicalCode, q0: int) -> EaqeccParams:
         k=k,
         d=Distance.lower_bound(code.distance.require()),
         c=c,
-        provenance=HermitianSource(code, q0),
+        provenance=Provenance("hermitian", (code, q0)),
     )
 
 

@@ -37,10 +37,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 _MAX_COEFFS = 10**4
-_MAX_ENSEMBLE = 1 << 24
+# Vector and matrix counts are capped by base-2 exponent, before any power is taken
+_MAX_ENSEMBLE_BITS = 24
 _MAX_VECTOR_SPACE = 1 << 20
 # _syndrome_classes does q^k * q^k * k column products, all of its work when r = 0
-_MAX_COLUMN_WORK = 1 << 27
+_MAX_COLUMN_WORK_BITS = 27
 # nt_w_bruteforce walks its index range in chunks of this many vectors
 _CHUNK = 1 << 16
 
@@ -69,10 +70,6 @@ class WeightPolynomial:
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
-
-    @property
-    def total(self) -> int:
-        return sum(self.coefficients)
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -123,18 +120,18 @@ def nt_w_bruteforce(n1: int, n2: int) -> np.ndarray:
     any block count (Warren, Hacker's Delight, 2nd ed., section 6-1).
 
     The range is walked in chunks of _CHUNK indices through reused uint32
-    buffers.  The bincount key t * (ne + 1) + w stays in uint8: the
-    _MAX_ENSEMBLE cap of 2^24 vectors bounds ne by 12, so the key is at
-    most 12*13 + 12 = 168 < 256.
+    buffers.  The bincount key t * (ne + 1) + w stays in uint8: the cap of
+    2^24 vectors (_MAX_ENSEMBLE_BITS) bounds ne by 12, so the key is at most
+    12*13 + 12 = 168 < 256.
     """
-    import numpy as np
-
     if n1 < 1 or n2 < 1:
         raise DomainError("need n1 >= 1 and n2 >= 1")
     ne = n1 * n2
-    total = 4**ne
-    if total > _MAX_ENSEMBLE:
+    if 2 * ne > _MAX_ENSEMBLE_BITS:
         raise TooLarge(f"4^{ne} vectors exceed the enumeration cap")
+    import numpy as np
+
+    total = 4**ne
     span = 2 * n1
     fill = np.uint32(sum(((1 << span - 1) - 1) << span * j for j in range(n2)))
     guards = np.uint32(sum(1 << span * j + span - 1 for j in range(n2)))
@@ -424,18 +421,17 @@ def ensemble_exhaustive(n1: int, k1: int, n2: int, k2: int) -> EnsembleReport:
     if n1 > 3 or k1 > 2:
         raise TooLarge("inner experiment limited to n1 <= 3, k1 <= 2")
     spec = EnsembleSpec(n1, k1, n2, k2)
-    q_outer = 4**spec.kbar1
-    inner_total = 4 ** (k1 * spec.r1)
-    outer_total = (q_outer**k2) ** spec.r2
-    if inner_total * outer_total > _MAX_ENSEMBLE:
+    q_outer = 4**spec.kbar1  # 4^(k1*r1) inner and q_outer^(k2*r2) outer matrices
+    if 2 * k1 * spec.r1 + 2 * spec.kbar1 * k2 * spec.r2 > _MAX_ENSEMBLE_BITS:
         raise TooLarge("ensemble larger than the enumeration cap")
-    if q_outer ** (2 * k2) * k2 > _MAX_COLUMN_WORK:
+    bits = 4 * spec.kbar1 * k2  # q_outer^(2*k2) = 2^bits products of k2 terms
+    if bits > _MAX_COLUMN_WORK_BITS or k2 << bits > 1 << _MAX_COLUMN_WORK_BITS:
         raise TooLarge(f"{q_outer}^{2 * k2} * {k2} column products exceed the enumeration cap")
     inner_zero, inner_nonzero = _syndrome_classes("inner", 4, n1, k1)
     outer_zero, outer_nonzero = _syndrome_classes("outer", q_outer, n2, k2)
     return EnsembleReport(
         spec=spec,
-        inner_matrices=inner_total,
-        outer_matrices=outer_total,
+        inner_matrices=4 ** (k1 * spec.r1),
+        outer_matrices=q_outer ** (k2 * spec.r2),
         classes=(inner_zero, inner_nonzero, outer_zero, outer_nonzero),
     )

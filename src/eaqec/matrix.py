@@ -63,9 +63,6 @@ class MatrixGF:
     def to_lists(self) -> list[list[int]]:
         return self._a.tolist()
 
-    def __getitem__(self, ij) -> int:
-        return int(self._a[ij])
-
     def __eq__(self, other):
         return (
             isinstance(other, MatrixGF)

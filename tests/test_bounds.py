@@ -15,7 +15,6 @@ from eaqec.bounds import (
     eaq_length_bounds,
     entropy_q4,
     envelope_curve,
-    family_domain,
     genus2_points,
     gv_root_x0,
     rate_value,
@@ -200,6 +199,20 @@ class TestGvRoot:
         assert all(b > a for a, b in zip(roots, roots[1:]))
 
 
+def domain_top(family, m=None, ce=None):
+    """(delta_max, included) by the paper's formulas, eps = 1/(2^floor(m/2) - 1);
+    the GV family ends at its root x0."""
+    if family == "GV":
+        return gv_root_x0(0.0, ce), True
+    eps = 1.0 / (2 ** (m // 2) - 1)
+    return {
+        "C5": ((1.0 - eps) / m, True),
+        "C6": (2.0 * (1.0 - eps) / m, True),
+        "C7": ((1.0 - 2.0 * eps) / (2.0 * m), False),
+        "C8": ((1.0 - 1.0 / (m - 1) - 2.0 * eps) / m, True),
+    }[family]
+
+
 class TestRateFamilies:
     def test_registry(self):
         assert FAMILY_NAMES == ("P1a", "P1b", "C5", "C6", "C7", "C8", "GV")
@@ -217,20 +230,25 @@ class TestRateFamilies:
         assert rate_value("P1b", 0.05, m=5) == rate_value("C6", 0.05, m=5)
 
     def test_domain_endpoints(self):
-        lo, hi, included = family_domain("C5", m=4)
-        assert (lo, included) == (0.0, True)
-        assert abs(hi - (1.0 - 1.0 / 3.0) / 4.0) < 1e-15
-        assert abs(rate_value("C5", hi, m=4)) < 1e-12  # rate hits zero there
-        lo, hi, included = family_domain("C7", m=6)
+        hi = (1.0 - 1.0 / 3.0) / 4.0  # C5 at m = 4: (1 - eps) / m, eps = 1/3
+        assert domain_top("C5", m=4) == (hi, True)
+        assert rate_value("C5", 0.0, m=4) > 0.0
+        assert abs(rate_value("C5", hi, m=4)) < 1e-12  # closed end: rate hits zero there
+        for delta in (-1e-12, hi * (1 + 1e-9)):
+            with pytest.raises(DomainError):
+                rate_value("C5", delta, m=4)
+        hi, included = domain_top("C7", m=6)
         assert not included
         with pytest.raises(DomainError):
             rate_value("C7", hi, m=6)
         assert rate_value("C7", hi - 1e-9, m=6) > 0.0
 
     def test_gv_domain_is_the_root(self):
-        _, hi, included = family_domain("GV", ce=0.25)
-        assert included
+        hi = gv_root_x0(0.0, 0.25)
         assert abs(2.0 * entropy_q4(hi) - 1.25) < 1e-10
+        assert abs(rate_value("GV", hi, ce=0.25)) < 1e-10  # closed end
+        with pytest.raises(DomainError):
+            rate_value("GV", hi + 1e-9, ce=0.25)
 
     def test_out_of_domain(self):
         with pytest.raises(DomainError):
@@ -264,7 +282,7 @@ class TestRateFamilies:
             ("C8", {"m": 7}), ("GV", {"ce": 0.3}),
         ]
         for family, params in cases:
-            _, hi, included = family_domain(family, **params)
+            hi, included = domain_top(family, **params)
             steps = 60
             top = hi if included else hi * (1 - 1e-9)
             vals = [
@@ -282,7 +300,7 @@ class TestCurves:
         curve = sample_curve("C5", GRID, m=4)
         assert isinstance(curve, BoundCurve)
         assert curve.label() == "C5[m=4]"
-        _, hi, _ = family_domain("C5", m=4)
+        hi, _ = domain_top("C5", m=4)
         assert [d for d, _ in curve.samples] == [d for d in GRID if d <= hi]
         for d, r in curve.samples:
             assert r == rate_value("C5", d, m=4)
@@ -304,7 +322,7 @@ class TestCurves:
         for d in GRID:
             rates = []
             for fam, params in members:
-                _, hi, included = family_domain(fam, **params)
+                hi, included = domain_top(fam, **params)
                 if d < hi or (included and d == hi):
                     rates.append(rate_value(fam, d, **params))
             if rates:
@@ -358,7 +376,7 @@ class TestCsv:
         lines = out.splitlines()
         assert lines[0] == "delta,C5[m=4],GV[ce=0]"
         assert len(lines) == 1 + len(GRID)
-        _, hi, _ = family_domain("C5", m=4)
+        hi, _ = domain_top("C5", m=4)
         for line, d in zip(lines[1:], GRID):
             cells = line.split(",")
             assert cells[0] == f"{d:.12g}"

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from eaqec import concat
-from eaqec.codes import Distance
+from eaqec.codes import ClassicalCode, Distance, min_distance
 from eaqec.concat import (
     audit_row,
     audit_tables,
@@ -13,16 +13,15 @@ from eaqec.concat import (
     expurgate,
     extend,
     load_bundled_tables,
-    maximal_entanglement_closure_check,
     parse_table_file,
 )
 from eaqec.eaqecc import (
-    Concatenated,
     EaqeccParams,
-    Expurgated,
-    Extended,
+    Provenance,
     TableTuple,
+    css_construct,
     ea_singleton_defect,
+    hermitian_construct,
     parse_params,
 )
 from eaqec.errors import (
@@ -31,6 +30,8 @@ from eaqec.errors import (
     ProvenanceMismatch,
     TooManyBlocks,
 )
+from eaqec.gf import FieldSpec
+from eaqec.matrix import MatrixGF
 
 INNER422 = parse_params("4,2,2,0,2")
 
@@ -51,9 +52,8 @@ class TestConcatenate:
         assert not code.is_maximal
         defect = ea_singleton_defect(code)
         assert (defect.value, defect.label) == (52, "52-EAQMDS")
-        prov = code.provenance
-        assert isinstance(prov, Concatenated)
-        assert prov.inner is INNER422 and prov.outer is outer
+        assert code.provenance == Provenance("concat", (INNER422, outer))
+        assert code.provenance.args[0] is INNER422 and code.provenance.args[1] is outer
 
     def test_parameter_arithmetic(self):
         inner = parse_params("3,2,2,1,2")
@@ -91,15 +91,9 @@ class TestConcatenate:
                         q=2 ** k1, n=n2, k=k2,
                         d=Distance.lower_bound(1), c=n2 - k2,
                     )
-                    assert maximal_entanglement_closure_check(inner, outer)
                     code = concatenate(inner, outer)
                     assert code.c == n1 * n2 - k1 * k2
                     assert code.is_maximal
-
-    def test_closure_vacuous_when_not_maximal(self):
-        outer = outer4("5,3,2,0,4")
-        assert not outer.is_maximal
-        assert maximal_entanglement_closure_check(INNER422, outer)
 
 
 class TestExtend:
@@ -109,7 +103,7 @@ class TestExtend:
         assert (out.n, out.k, out.c) == (base.n + 3, base.k, base.c)
         assert out.net == base.net
         assert out.d == Distance.lower_bound(base.d.require())
-        assert out.provenance == Extended(base, 3)
+        assert out.provenance == Provenance("extend", (base, 3))
 
     def test_zero_is_identity(self):
         base = concatenate(INNER422, outer4("5,3,2,1,4"))
@@ -134,7 +128,7 @@ class TestExpurgate:
         assert (out.n, out.k, out.c) == (base.n - 2, base.k, base.c + 2)
         assert out.net == base.net - 2
         assert out.d.require() == base.d.require()
-        assert out.provenance == Expurgated(base, 2)
+        assert out.provenance == Provenance("expurgate", (base, 2))
 
     def test_needs_concatenation(self):
         with pytest.raises(ProvenanceMismatch):
@@ -157,6 +151,47 @@ class TestExpurgate:
             expurgate(base, 0)
         with pytest.raises(ValueError):
             expurgate(base, -2)
+
+
+def classical(spec, parity_check):
+    code = ClassicalCode.from_parity_check(MatrixGF(spec, parity_check))
+    return code.with_distance(min_distance(code))
+
+
+def provenance_case(op):
+    """(builder, args) for one op: the code builder(*args) must record both."""
+    rep2 = classical(FieldSpec(2, 1), [[1, 1]])  # [2,1,2]_2
+    base = concatenate(INNER422, outer4("5,3,2,1,4"))
+    return {
+        "css": (css_construct, (rep2, rep2)),
+        "hermitian": (hermitian_construct, (classical(FieldSpec(2, 2), [[1, 1, 2]]), 2)),
+        "concat": (concatenate, (INNER422, outer4("5,3,2,1,4"))),
+        "extend": (extend, (base, 3)),
+        "expurgate": (expurgate, (base, 2)),
+    }[op]
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("op", ["css", "hermitian", "concat", "extend", "expurgate"])
+    def test_each_builder_records_its_op_and_args(self, op):
+        build, args = provenance_case(op)
+        code = build(*args)
+        assert type(code.provenance) is Provenance
+        assert code.provenance == Provenance(op, args)
+        assert all(a is b for a, b in zip(code.provenance.args, args, strict=True))
+        assert extend(code, 0) is code
+
+    @pytest.mark.parametrize("op", ["css", "hermitian", "extend", "literal"])
+    def test_expurgate_needs_a_concat_provenance(self, op):
+        if op == "literal":
+            # the numbers of a valid concatenation, without its provenance
+            base = concatenate(INNER422, outer4("5,3,2,1,4"))
+            code = dataclasses.replace(base, provenance=None)
+        else:
+            build, args = provenance_case(op)
+            code = build(*args)
+        with pytest.raises(ProvenanceMismatch, match="only to concatenated codes"):
+            expurgate(code, 1)
 
 
 GOOD_LINE = "I|4,2,2,0,2|23,1*,11,?,4|base|92,2*,>=22,?,2|[[92,2*,21]]|[[92,2,20]]"

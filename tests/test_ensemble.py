@@ -8,6 +8,7 @@ part at a time.  Everything is exact rationals.
 """
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
@@ -166,7 +167,7 @@ class TestWeightPolynomial:
         poly = WeightPolynomial((1, 0, 6), n_e=4)
         assert poly.evaluate(Fraction(1, 2)) == Fraction(5, 2)
         assert isinstance(poly.evaluate(0.5), float)
-        assert poly.total == 7
+        assert sum(poly.coefficients) == 7
         assert poly.coefficient(1) == 0 and poly.coefficient(9) == 0
 
     def test_validation(self):
@@ -493,6 +494,13 @@ class TestExhaustive:
             # the largest specs near the cap, 1.0e8 and 5.0e7 products, about 1 s each
             ((1, 1, 6, 6), True),
             ((2, 2, 4, 3), True),
+            # the matrix count, 2^(2*k1*r1 + 2*kbar1*k2*r2), at and above its 2^24 cap
+            ((1, 1, 13, 1), True),
+            ((1, 1, 14, 1), False),
+            ((3, 1, 11, 1), True),
+            ((3, 1, 12, 1), False),
+            ((3, 2, 6, 1), True),
+            ((3, 2, 7, 1), False),
         ],
     )
     def test_column_work_decided_before_enumerating(self, monkeypatch, spec, admitted):
@@ -505,3 +513,20 @@ class TestExhaustive:
         monkeypatch.setattr(ensemble, "_syndrome_classes", start)
         with pytest.raises(Started if admitted else TooLarge):
             ensemble_exhaustive(*spec)
+
+    @pytest.mark.parametrize(
+        "call, args, message",
+        [
+            # k2 = 10^8: 4^(2*10^8) column products; r2 = 10^8 - 1: 4^r2 matrices;
+            # 4^(10^8) vectors.  Each is refused by its exponent, not its power.
+            (ensemble_exhaustive, (1, 1, 10**8, 10**8), r"4\^200000000 \* 100000000 col"),
+            (ensemble_exhaustive, (1, 1, 10**8, 1), "ensemble larger than the"),
+            (nt_w_bruteforce, (10**4, 10**4), r"4\^100000000 vectors exceed"),
+        ],
+        ids=["column-work", "matrix-count", "vectors"],
+    )
+    def test_huge_sizes_refused_at_once(self, call, args, message):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=message):
+            call(*args)
+        assert time.perf_counter() - start < 0.5

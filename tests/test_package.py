@@ -1,8 +1,11 @@
-"""Package surface: every exported name resolves, and layers load on demand."""
+"""Package surface: every exported name resolves, every public name has a
+caller, and layers load on demand."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,69 @@ def test_every_exported_name_resolves():
     for name in eaqec.__all__:
         assert namespace[name] is getattr(eaqec, name)
     assert set(eaqec.__all__) <= set(dir(eaqec))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Public names that no program calls, each kept for a stated reason.
+KEPT_WITHOUT_CALLER = {
+    "codes.ClassicalCode.codewords": "the independent oracle for min_distance",
+    "codes.singleton_defect": "the AMDS/NMDS labels (ROADMAP items 3-4)",
+    "bounds.weil_bound": "the genus-3 outer length bound (ROADMAP item 4(a))",
+    "ensemble.phi_series_value": (
+        "the exact series between the exhaustive average and phi_upper_bound"
+    ),
+}
+
+
+def public_definitions(src):
+    """{'module.name' or 'module.Class.name': name} of every public function,
+    class and method of a public class."""
+    found = {}
+    for path in src.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            found[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and sub.name[0] != "_":
+                        found[f"{path.stem}.{node.name}.{sub.name}"] = sub.name
+    return found
+
+
+def referenced_names(paths):
+    """Names, attributes, imported names and identifier strings ('a.b' gives
+    both parts) read anywhere in the files."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                if all(p.isidentifier() for p in parts):
+                    names.update(parts)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # callers are the programs: the package itself without its export map,
+    # the scripts, the benchmark and the acceptance criteria; not the unit tests
+    src = ROOT / "src" / "eaqec"
+    callers = [p for p in src.glob("*.py") if p.name != "__init__.py"]
+    callers += [*ROOT.glob("scripts/*.py"), *ROOT.glob("bench/*.py")]
+    callers.append(ROOT / "tests" / "test_acceptance.py")
+    used = referenced_names(callers)
+    unused = {q for q, name in public_definitions(src).items() if name not in used}
+    missing = sorted(unused - set(KEPT_WITHOUT_CALLER))
+    assert not missing, f"public names without a caller: {missing}"
+    stale = sorted(set(KEPT_WITHOUT_CALLER) - unused)
+    assert not stale, f"kept names that now have a caller: {stale}"
 
 
 def test_importing_one_layer_leaves_the_others_unloaded():
