@@ -36,12 +36,15 @@ from .errors import DomainError, ParseError, TooLarge
 if TYPE_CHECKING:
     import numpy as np
 
+    from .gf import FieldSpec
+
 _MAX_COEFFS = 10**4
-# Vector and matrix counts are capped by base-2 exponent, before any power is taken
-_MAX_ENSEMBLE_BITS = 24
-_MAX_VECTOR_SPACE = 1 << 20
-# _syndrome_classes does q^k * q^k * k column products, all of its work when r = 0
-_MAX_COLUMN_WORK_BITS = 27
+# Caps are base-2 exponents, compared before any power is taken
+_MAX_ENSEMBLE_BITS = 24  # 4^(n1*n2) vectors in nt_w_bruteforce
+_MAX_VECTOR_BITS = 20  # q^n test vectors in _syndrome_classes
+_MAX_COLUMN_WORK_BITS = 27  # q^k * q^k * k column products there, all the work when r = 0
+# GF(4) and GF(4^k1), built once: the inner limit k1 <= 2 makes them the only two
+_FIELDS: dict[int, FieldSpec] = {}
 # nt_w_bruteforce walks its index range in chunks of this many vectors
 _CHUNK = 1 << 16
 
@@ -371,7 +374,7 @@ class EnsembleReport:
         return "\n".join(lines)
 
 
-def _syndrome_classes(experiment: str, q: int, n: int, k: int) -> tuple[ClassStat, ...]:
+def _syndrome_classes(experiment: str, field: FieldSpec, n: int, k: int) -> tuple[ClassStat, ...]:
     """Enumerate every P in GF(q)^(k x r) against every nonzero v = (u, s) in GF(q)^n.
 
     H = [-P^T I] kills v when c_j . u = s_j for each column c_j of P, so the
@@ -381,22 +384,17 @@ def _syndrome_classes(experiment: str, q: int, n: int, k: int) -> tuple[ClassSta
     outer product of those counts holds the kill counts of all q^r vectors
     (u, s); v = 0, entry 0 of the zero part, is dropped.  Every column and
     vector is still visited, so the q^-r law is observed, not assumed.  Arrays
-    hold at most q^k * k and q^r entries, q^k, q^r <= q^n <= _MAX_VECTOR_SPACE.
+    hold at most q^k * k and q^r entries; the caller caps q^n and q^k * q^k * k.
     """
-    r = n - k
-    if q**n > _MAX_VECTOR_SPACE:
-        raise TooLarge(f"{q}^{n} test vectors exceed the enumeration cap")
+    q, r = field.q, n - k
     import numpy as np
 
-    from .gf import field_of_order
-
-    spec = field_of_order(q)
     words = np.array(list(iproduct(range(q), repeat=k)), dtype=np.int64)
     total = len(words) ** r
     kills: dict[bool, set[int]] = {True: set(), False: set()}
     sizes = {True: 0, False: 0}
     for u in words:
-        counts = np.bincount(spec.vsum(spec.vmul(words, u), axis=1), minlength=q)
+        counts = np.bincount(field.vsum(field.vmul(words, u), axis=1), minlength=q)
         hits = reduce(np.multiply.outer, [counts] * r, np.ones((), np.int64)).ravel()
         info_zero = not u.any()
         if info_zero:
@@ -422,13 +420,15 @@ def ensemble_exhaustive(n1: int, k1: int, n2: int, k2: int) -> EnsembleReport:
         raise TooLarge("inner experiment limited to n1 <= 3, k1 <= 2")
     spec = EnsembleSpec(n1, k1, n2, k2)
     q_outer = 4**spec.kbar1  # 4^(k1*r1) inner and q_outer^(k2*r2) outer matrices
-    if 2 * k1 * spec.r1 + 2 * spec.kbar1 * k2 * spec.r2 > _MAX_ENSEMBLE_BITS:
-        raise TooLarge("ensemble larger than the enumeration cap")
-    bits = 4 * spec.kbar1 * k2  # q_outer^(2*k2) = 2^bits products of k2 terms
-    if bits > _MAX_COLUMN_WORK_BITS or k2 << bits > 1 << _MAX_COLUMN_WORK_BITS:
+    if 4 * spec.kbar1 * k2 > _MAX_COLUMN_WORK_BITS:
         raise TooLarge(f"{q_outer}^{2 * k2} * {k2} column products exceed the enumeration cap")
-    inner_zero, inner_nonzero = _syndrome_classes("inner", 4, n1, k1)
-    outer_zero, outer_nonzero = _syndrome_classes("outer", q_outer, n2, k2)
+    if 2 * spec.kbar1 * n2 > _MAX_VECTOR_BITS:  # the inner 4^n1 <= 64 vectors pass
+        raise TooLarge(f"{q_outer}^{n2} test vectors exceed the enumeration cap")
+    from .gf import field_of_order
+
+    _FIELDS.update({q: field_of_order(q) for q in {4, q_outer} - _FIELDS.keys()})
+    inner_zero, inner_nonzero = _syndrome_classes("inner", _FIELDS[4], n1, k1)
+    outer_zero, outer_nonzero = _syndrome_classes("outer", _FIELDS[q_outer], n2, k2)
     return EnsembleReport(
         spec=spec,
         inner_matrices=4 ** (k1 * spec.r1),

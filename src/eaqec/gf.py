@@ -22,7 +22,8 @@ checks against the table-free pow.  Each rule is written once: odd extension
 fields add and negate through the digit codec coeffs/from_coeffs, and
 _mul_poly reduces its product with _poly_rem, as the irreducibility test
 does.  GF(2^m) keeps a carry-less product on the integer bits, which builds
-its tables 2-3x faster, and fields are rebuilt per ensemble op.
+its tables 2-3x faster: every CLI process builds the tables it reads afresh,
+and the tests run the scalar ops as oracles over whole fields.
 
 The v*-prefixed methods are exact vectorized counterparts on numpy integer
 arrays.  Each op has one path per field kind: XOR in characteristic 2,

@@ -475,32 +475,70 @@ class TestExhaustive:
         assert "FAIL" not in text
         assert text.endswith("all identities hold")
 
+    @pytest.mark.parametrize(
+        "args, vectors",
+        [
+            # 2^30 and 2^50 outer matrices, counted per information part, not
+            # visited.  Each class holds q^r - 1 (zero info part) or q^n - q^r
+            # (nonzero) vectors.
+            ((1, 1, 8, 3), [0, 3, 1023, 64512]),
+            ((1, 1, 10, 5), [0, 3, 1023, 1047552]),
+        ],
+    )
+    def test_many_outer_matrices_run(self, args, vectors):
+        report = ensemble_exhaustive(*args)
+        assert report.all_passed
+        assert [c.vectors for c in report.classes] == vectors
+
     def test_caps(self, monkeypatch):
-        with pytest.raises(TooLarge):
-            ensemble_exhaustive(4, 2, 2, 1)
+        """Every refusal comes before a field is built or an enumeration starts."""
+
+        def start(*args):
+            raise AssertionError(f"work started for a refused spec: {args}")
+
+        monkeypatch.setattr(ensemble, "_FIELDS", {})
+        monkeypatch.setattr(ensemble, "_syndrome_classes", start)
+        monkeypatch.setattr(gf, "field_of_order", start)
+        for spec in [
+            (4, 2, 2, 1),
+            (1, 1, 7, 7),
+            (2, 2, 4, 4),
+            (1, 1, 11, 1),
+            (2, 2, 6, 1),
+            (1, 1, 10, 10),
+            (1, 1, 10**8, 10**8),
+            (1, 1, 10**12, 1),
+        ]:
+            with pytest.raises(TooLarge):
+                ensemble_exhaustive(*spec)
+
+    def test_fields_built_once(self, monkeypatch):
         built, build = [], gf.field_of_order
+        monkeypatch.setattr(ensemble, "_FIELDS", {})
         monkeypatch.setattr(gf, "field_of_order", lambda q: built.append(q) or build(q))
-        with pytest.raises(TooLarge):
-            ensemble_exhaustive(2, 2, 6, 1)  # 16^6 test vectors
-        assert built == [4]  # the inner GF(4); GF(16) is refused before it is built
+        for spec in [(2, 2, 2, 1), (2, 2, 2, 1), (2, 1, 2, 1), (3, 2, 2, 1), (1, 1, 3, 2)]:
+            assert ensemble_exhaustive(*spec).all_passed
+        assert sorted(built) == [4, 16]
+        assert sorted(ensemble._FIELDS) == [4, 16]
 
     @pytest.mark.parametrize(
         "spec, admitted",
         [
             # r2 = 0 leaves only the q^k * q^k * k column products of the outer
-            # experiment: 4^14 * 7 ~ 1.9e9 ran for 21 s, (1,1,10,10) for about a day
+            # experiment, 2^(4*kbar1*k2) * k2 <= 2^27: 4^14 * 7 ~ 1.9e9 ran for 21 s
             ((1, 1, 7, 7), False),
-            ((1, 1, 10, 10), False),
-            # the largest specs near the cap, 1.0e8 and 5.0e7 products, about 1 s each
+            ((2, 2, 4, 4), False),
+            # the largest specs at the column cap, 1.0e8 and 5.0e7 products, about 1 s each
             ((1, 1, 6, 6), True),
             ((2, 2, 4, 3), True),
-            # the matrix count, 2^(2*k1*r1 + 2*kbar1*k2*r2), at and above its 2^24 cap
-            ((1, 1, 13, 1), True),
-            ((1, 1, 14, 1), False),
-            ((3, 1, 11, 1), True),
-            ((3, 1, 12, 1), False),
-            ((3, 2, 6, 1), True),
-            ((3, 2, 7, 1), False),
+            # the q_outer^n2 = 2^(2*kbar1*n2) test vectors, at and above their 2^20 cap
+            ((1, 1, 10, 1), True),
+            ((1, 1, 11, 1), False),
+            ((2, 2, 5, 1), True),
+            ((2, 2, 6, 1), False),
+            # 2^20 vectors each; 4^10 * 5 column products pass, 4^20 * 10 (about a day) do not
+            ((1, 1, 10, 5), True),
+            ((1, 1, 10, 10), False),
         ],
     )
     def test_column_work_decided_before_enumerating(self, monkeypatch, spec, admitted):
@@ -517,13 +555,14 @@ class TestExhaustive:
     @pytest.mark.parametrize(
         "call, args, message",
         [
-            # k2 = 10^8: 4^(2*10^8) column products; r2 = 10^8 - 1: 4^r2 matrices;
-            # 4^(10^8) vectors.  Each is refused by its exponent, not its power.
+            # k2 = 10^8: 4^(2*10^8) column products; n2 = 10^8 or 10^12: 4^n2
+            # vectors.  Each is refused by its exponent, not its power.
             (ensemble_exhaustive, (1, 1, 10**8, 10**8), r"4\^200000000 \* 100000000 col"),
-            (ensemble_exhaustive, (1, 1, 10**8, 1), "ensemble larger than the"),
+            (ensemble_exhaustive, (1, 1, 10**8, 1), r"4\^100000000 test vectors"),
+            (ensemble_exhaustive, (1, 1, 10**12, 1), r"4\^1000000000000 test vectors"),
             (nt_w_bruteforce, (10**4, 10**4), r"4\^100000000 vectors exceed"),
         ],
-        ids=["column-work", "matrix-count", "vectors"],
+        ids=["column-work", "test-vectors", "test-vectors-1e12", "vectors"],
     )
     def test_huge_sizes_refused_at_once(self, call, args, message):
         start = time.perf_counter()
