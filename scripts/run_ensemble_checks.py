@@ -51,7 +51,7 @@ def main(argv=None) -> int:
             f"{d:7.3f}  {b.log2:10.4f}  {b.tau:9.4f}  {b.c_const:12.4f}  {b.prefactor:9.4f}"
         )
     mid = phi_upper_bound(spec, 0.5)
-    print(f"phi bound at x=1/2: log2={mid.log2:.4f}")
+    print(f"phi bound at x=1/2: log2={mid:.4f}")
     return 1 if failed else 0
 
 

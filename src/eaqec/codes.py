@@ -123,15 +123,15 @@ class ClassicalCode:
 
     @classmethod
     def from_generator(cls, G: MatrixGF) -> "ClassicalCode":
-        rank, H = G.rank_and_nullspace()
-        if rank != G.rows:
+        H = G.nullspace()  # rank = cols - H.rows, from the same elimination
+        if G.cols - H.rows != G.rows:
             raise ValueError("generator is not full rank")
         return cls._trusted(G, H, Distance.unknown())
 
     @classmethod
     def from_parity_check(cls, H: MatrixGF) -> "ClassicalCode":
-        rank, G = H.rank_and_nullspace()
-        if rank != H.rows:
+        G = H.nullspace()
+        if H.cols - G.rows != H.rows:
             raise ValueError("parity check is not full rank")
         return cls._trusted(G, H, Distance.unknown())
 
@@ -222,18 +222,19 @@ def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
 
 
 @dataclass(frozen=True)
-class SingletonClass:
-    defect: int
+class Defect:
+    """A Singleton defect and its class label (classical or EA)."""
+
+    value: int
     label: str
-    from_bound: bool
 
 
-def singleton_defect(code: ClassicalCode) -> SingletonClass:
+def singleton_defect(code: ClassicalCode) -> Defect:
     """Singleton defect h = n - k + 1 - d with its standard class label.
 
     Labels: MDS (h=0), AMDS (h=1), NMDS (h=1 and the dual's exact defect is
     also 1), and "h-MDS" for h >= 2.  When the stored distance is only a
-    design bound the result is flagged via from_bound.
+    design bound, code.distance.is_exact says so, and NMDS is never given.
     """
     d = code.distance
     if not d.is_known:
@@ -251,7 +252,7 @@ def singleton_defect(code: ClassicalCode) -> SingletonClass:
                 label = "NMDS"
     else:
         label = f"{h}-MDS"
-    return SingletonClass(h, label, not d.is_exact)
+    return Defect(h, label)
 
 
 def random_code(spec: FieldSpec, n: int, k: int, rng: random.Random) -> ClassicalCode:
@@ -264,6 +265,6 @@ def random_code(spec: FieldSpec, n: int, k: int, rng: random.Random) -> Classica
         return ClassicalCode.from_generator(MatrixGF.zeros(spec, 0, n))
     while True:
         g = MatrixGF(spec, [[rng.randrange(spec.q) for _ in range(n)] for _ in range(k)])
-        rank, h = g.rank_and_nullspace()
-        if rank == k:
+        h = g.nullspace()
+        if n - h.rows == k:
             return ClassicalCode._trusted(g, h, Distance.unknown())

@@ -28,7 +28,8 @@ with each tuple in the 'n,k,d,c,q' text of eaqecc.TableTuple, the one codec
 shared with the CLI's --inner/--outer: k may carry a '*' net marker, d a '>='
 prefix, and c may be '?' when the source does not print it.  transform is
 'base', 'extend+t', or 'expurgate-t' (t cumulative from the block's base
-row).  Comparator fields are carried verbatim and not audited.
+row).  The two comparator fields must be present; they are read past and
+not audited.
 """
 
 from __future__ import annotations
@@ -129,7 +130,6 @@ class TableRow:
     outer: TableTuple
     transform: tuple[str, int]
     published: TableTuple
-    comparators: tuple[str, ...]
 
     def label(self) -> str:
         name, t = self.transform
@@ -203,7 +203,6 @@ def parse_table_file(text: str) -> list[TableRow]:
             outer=outer,
             transform=transform,
             published=published,
-            comparators=(fields[5], fields[6]),
         )
         try:
             row.derived  # derive now: an underivable row is refused with its line
@@ -247,18 +246,17 @@ _KNOWN_PUBLISHED = TableTuple(n=46, k=2, k_is_net=False, d=Distance.exact(36), c
 _KNOWN = ((Mismatch("c", 44, 34),), "IV", _KNOWN_PUBLISHED)
 
 
-def audit_row(row: TableRow) -> RowVerdict:
-    derived, pub = row.derived, row.published
-    checks = (
-        ("n", derived.n, pub.n),
-        ("net", derived.net, pub.k) if pub.k_is_net else ("k", derived.k, pub.k),
-        ("d", derived.d.require(), pub.d.require()),
-        ("c", derived.c, pub.c),  # None when the row does not print c
-    )
-    mismatches = tuple([Mismatch(*m) for m in checks if m[2] is not None and m[1] != m[2]])
-    return RowVerdict(row, mismatches, (mismatches, row.table, pub) == _KNOWN)
-
-
 def audit_tables(rows) -> tuple[RowVerdict, ...]:
     """Audit rows in order: one verdict per row."""
-    return tuple(audit_row(r) for r in rows)
+    verdicts = []
+    for row in rows:
+        derived, pub = row.derived, row.published
+        checks = (
+            ("n", derived.n, pub.n),
+            ("net", derived.net, pub.k) if pub.k_is_net else ("k", derived.k, pub.k),
+            ("d", derived.d.require(), pub.d.require()),
+            ("c", derived.c, pub.c),  # None when the row does not print c
+        )
+        mismatches = tuple([Mismatch(*m) for m in checks if m[2] is not None and m[1] != m[2]])
+        verdicts.append(RowVerdict(row, mismatches, (mismatches, row.table, pub) == _KNOWN))
+    return tuple(verdicts)

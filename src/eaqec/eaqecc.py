@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .codes import Distance
+from .codes import Defect, Distance
 from .errors import (
     DistanceUnknown,
     EntanglementFormulaMismatch,
@@ -103,20 +103,12 @@ class EaqeccParams:
         return self.render()
 
 
-@dataclass(frozen=True)
-class EaDefect:
-    value: int
-    label: str
-    from_bound: bool
-    negative: bool
-
-
-def ea_singleton_defect(code: EaqeccParams) -> EaDefect:
+def ea_singleton_defect(code: EaqeccParams) -> Defect:
     """Defect h_e = n - k - 2d + 2 + c with its class label.
 
     h_e = 0 is EAQMDS, h_e = 2 is EAQAMDS, other values are labelled
     "<h>-EAQMDS".  Negative values (possible for literal tuples) are returned
-    with the negative flag set rather than rejected.
+    as they are, not rejected.
     """
     d = code.d.require()
     h = code.n - code.k - 2 * d + 2 + code.c
@@ -126,7 +118,7 @@ def ea_singleton_defect(code: EaqeccParams) -> EaDefect:
         label = "EAQAMDS"
     else:
         label = f"{h}-EAQMDS"
-    return EaDefect(h, label, not code.d.is_exact, h < 0)
+    return Defect(h, label)
 
 
 def _rank_route(left: MatrixGF, right: MatrixGF) -> int:

@@ -253,23 +253,15 @@ def _log2_1p_pow(log2_term: float) -> float:
     return math.log1p(2.0**log2_term) / math.log(2.0)
 
 
-@dataclass(frozen=True)
-class PhiBound:
-    log2: float
-    value: float | None
-
-
-def phi_upper_bound(spec: EnsembleSpec, x: float) -> PhiBound:
-    """Closed-form bound 2^-(r_e+c_e) * [(1+3x)^n1 + 4^r1]^n2 on the weight series."""
+def phi_upper_bound(spec: EnsembleSpec, x: float) -> float:
+    """log2 of the bound 2^-(r_e+c_e) * [(1+3x)^n1 + 4^r1]^n2 on the weight series."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie in (0, 1), got {x}")
     la = spec.n1 * math.log2(1.0 + 3.0 * x)
     lb = 2.0 * spec.r1
     hi, lo = (la, lb) if la >= lb else (lb, la)
     log2_bracket = hi + _log2_1p_pow(lo - hi)
-    log2 = -(spec.r_e + spec.c_e) + spec.n2 * log2_bracket
-    value = 2.0**log2 if log2 < 1020.0 else None
-    return PhiBound(log2=log2, value=value)
+    return -(spec.r_e + spec.c_e) + spec.n2 * log2_bracket
 
 
 def phi_series_value(spec: EnsembleSpec, x) -> Fraction:
@@ -292,7 +284,7 @@ def avg_codeword_bound(spec: EnsembleSpec, gamma: float) -> float:
     if not 0.0 < gamma <= 0.75:
         raise DomainError(f"gamma must lie in (0, 3/4], got {gamma}")
     exponent = spec.n_e * (spec.rate + 2.0 * entropy_q4(gamma) - 1.0 - spec.ea_rate)
-    inner = 2.0 * spec.r1 + spec.n1 * math.log2(1.0 - gamma) if gamma < 1.0 else -math.inf
+    inner = 2.0 * spec.r1 + spec.n1 * math.log2(1.0 - gamma)
     return exponent + spec.n2 * _log2_1p_pow(inner)
 
 

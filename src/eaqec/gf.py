@@ -8,7 +8,8 @@ degree m over GF(p).
 
 Default moduli are Conway polynomials for the shipped extension fields, so the
 integer encoding of every element is stable across runs and machines.  Prime
-fields (m = 1) use the degenerate modulus x and need no table entry.  Moduli
+fields (m = 1) store the degenerate modulus x whatever monic linear one is
+given, so any two specs of GF(p) are equal, and need no table entry.  Moduli
 supplied by the caller are verified irreducible by trial division against all
 monic polynomials of degree <= m/2.  Supported fields: prime q <= 2**20, and
 extension fields q <= 1024 (_TABLE_CAP), whose vector ops read full q x q
@@ -144,6 +145,8 @@ class FieldSpec:
             raise NotIrreducible("modulus coefficients must lie in [0, p)")
         if not _is_irreducible(modulus, p):
             raise NotIrreducible(f"{modulus} is reducible over GF({p})")
+        if m == 1:
+            modulus = (0, 1)  # prime-field arithmetic never reads the modulus
         self.p = p
         self.m = m
         self.q = q

@@ -26,7 +26,10 @@ class MatrixGF:
     __slots__ = ("spec", "rows", "cols", "_a")
 
     def __init__(self, spec: FieldSpec, data):
-        a = np.array(data, dtype=np.int64)
+        a = np.array(data)
+        if a.size and a.dtype.kind not in "iu":
+            raise ValueError(f"entries must be integers, got dtype {a.dtype}")
+        a = a.astype(np.int64, copy=False)
         if a.ndim == 1:
             a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
         if a.ndim != 2:
@@ -153,12 +156,9 @@ class MatrixGF:
 
         N has cols - rank rows.  Row i corresponds to the i-th free column f:
         it carries 1 at position f and the negated echelon entries at the
-        pivot columns, which makes the basis unique for a given matrix.
+        pivot columns, which makes the basis unique for a given matrix.  The
+        rank is cols - N.rows, from the same elimination.
         """
-        return self.rank_and_nullspace()[1]
-
-    def rank_and_nullspace(self) -> tuple[int, "MatrixGF"]:
-        """rank() and nullspace() from a single elimination."""
         R, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
@@ -166,4 +166,4 @@ class MatrixGF:
         basis[np.arange(len(free)), free] = 1
         if pivots and free:
             basis[:, list(pivots)] = self.spec.vneg(R._a[: len(pivots)][:, free].T)
-        return len(pivots), MatrixGF._wrap(self.spec, basis)
+        return MatrixGF._wrap(self.spec, basis)

@@ -169,6 +169,15 @@ class TestConstructions:
         assert code == 3
         assert err.startswith("error: FieldMismatch")
 
+    def test_css_prime_field_headers_with_different_moduli(self, capsys, tmp_path):
+        # both headers name GF(3); the linear modulus plays no part in its arithmetic
+        tetracode = "1 0 1 1\n0 1 1 2\n"
+        c1 = write(tmp_path, "c1.txt", "q 3 poly 1,1\n" + tetracode)
+        c2 = write(tmp_path, "c2.txt", "q 3 poly 0,1\n" + tetracode)
+        code, lines, _ = run(capsys, ["css", "--c1", c1, "--c2", c2, "--quiet"])
+        assert code == 0
+        assert lines == ["[[4,0,>=3;0]]_3 net=0 hbar_e=0 class=EAQMDS maximal=no"]
+
     def test_css_length_mismatch(self, capsys, tmp_path):
         rep = write(tmp_path, "rep.txt", REP2)
         ham = write(tmp_path, "h.txt", HAMMING)

@@ -9,6 +9,7 @@ from eaqec import codes
 from eaqec.codes import (
     DEFAULT_BUDGET,
     ClassicalCode,
+    Defect,
     Distance,
     dual,
     min_distance,
@@ -362,8 +363,7 @@ class TestSingletonClass:
     def test_mds(self):
         g = MatrixGF(GF4, [[1, 0, 1], [0, 1, 1]])
         code = ClassicalCode.from_generator(g).with_distance(Distance.exact(2))
-        sc = singleton_defect(code)
-        assert (sc.defect, sc.label, sc.from_bound) == (0, "MDS", False)
+        assert singleton_defect(code) == Defect(0, "MDS")
 
     def test_repetition_is_mds(self):
         g = MatrixGF(GF2, [[1, 1, 1, 1, 1]])
@@ -373,15 +373,13 @@ class TestSingletonClass:
     def test_hamming_is_nmds(self):
         # defect 1 on both sides: dual simplex [7,3,4] also has defect 1
         code = hamming().with_distance(min_distance(hamming()))
-        sc = singleton_defect(code)
-        assert (sc.defect, sc.label) == (1, "NMDS")
+        assert singleton_defect(code) == Defect(1, "NMDS")
 
     def test_amds_not_nmds(self):
         # dead 4th coordinate forces a weight-1 dual word, dual defect 2
         g = MatrixGF(GF2, [[1, 0, 1, 0], [0, 1, 1, 0]])
         code = ClassicalCode.from_generator(g).with_distance(Distance.exact(2))
-        sc = singleton_defect(code)
-        assert (sc.defect, sc.label) == (1, "AMDS")
+        assert singleton_defect(code) == Defect(1, "AMDS")
 
     def test_deep_defect_label(self):
         g = MatrixGF(GF2, [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]])
@@ -389,11 +387,11 @@ class TestSingletonClass:
         assert singleton_defect(code).label == "3-MDS"
 
     def test_bound_distance_flagged(self):
+        # the bound is read off the code itself; the record holds no flag
         code = hamming().with_distance(Distance.lower_bound(3))
-        sc = singleton_defect(code)
-        assert sc.from_bound
+        assert not code.distance.is_exact
         # defect-1 bound stays AMDS; the NMDS upgrade needs an exact value
-        assert (sc.defect, sc.label) == (1, "AMDS")
+        assert singleton_defect(code) == Defect(1, "AMDS")
 
     def test_unknown_distance_rejected(self):
         with pytest.raises(DistanceUnknown):
@@ -403,6 +401,38 @@ class TestSingletonClass:
         code = hamming().with_distance(Distance.exact(5))
         with pytest.raises(ValueError):
             singleton_defect(code)
+
+
+class TestOneElimination:
+    """A code is built from one elimination of the matrix it is given."""
+
+    @pytest.fixture
+    def eliminated(self, monkeypatch):
+        shapes = []
+        real = MatrixGF.rref
+
+        def counting(self):
+            shapes.append(self.shape)
+            return real(self)
+
+        monkeypatch.setattr(MatrixGF, "rref", counting)
+        return shapes
+
+    def test_from_generator(self, eliminated):
+        ClassicalCode.from_generator(MatrixGF(GF2, HAMMING_H))
+        assert eliminated == [(3, 7)]
+
+    def test_from_parity_check(self, eliminated):
+        ClassicalCode.from_parity_check(MatrixGF(GF2, HAMMING_H))
+        assert eliminated == [(3, 7)]
+
+    def test_random_code_once_per_draw(self, eliminated):
+        # seed 1 draws a full-rank 3 x 3 matrix first; seed 6 needs three draws
+        random_code(GF2, 3, 3, random.Random(1))
+        assert eliminated == [(3, 3)]
+        eliminated.clear()
+        random_code(GF2, 3, 3, random.Random(6))
+        assert eliminated == [(3, 3)] * 3
 
 
 class TestRandomCode:

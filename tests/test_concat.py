@@ -7,7 +7,6 @@ import pytest
 from eaqec import concat
 from eaqec.codes import ClassicalCode, Distance, min_distance
 from eaqec.concat import (
-    audit_row,
     audit_tables,
     concatenate,
     expurgate,
@@ -205,7 +204,6 @@ class TestParseTableFile:
         assert row.outer.k_is_net and row.outer.c is None
         assert row.transform == ("base", 0)
         assert row.published.render() == "[[92,2*,>=22]]_2"
-        assert row.comparators == ("[[92,2*,21]]", "[[92,2,20]]")
         assert row.label() == "I:001 base"
 
     def test_comments_and_blanks_skipped(self):
@@ -387,17 +385,7 @@ class TestBundledTables:
             c=row.published.c,
             q=row.published.q,
         )
-        verdict = audit_row(
-            type(row)(
-                table=row.table,
-                index=row.index,
-                inner=row.inner,
-                outer=row.outer,
-                transform=row.transform,
-                published=broken,
-                comparators=row.comparators,
-            )
-        )
+        (verdict,) = audit_tables([dataclasses.replace(row, published=broken)])
         assert not verdict.consistent
         assert [m.field for m in verdict.mismatches] == ["n"]
         assert not verdict.known
@@ -413,7 +401,7 @@ class TestBundledTables:
             broken = dataclasses.replace(pub, d=Distance(pub.d.kind, pub.d.value + 1))
         else:
             broken = dataclasses.replace(pub, k=pub.k + 1)
-        verdict = audit_row(dataclasses.replace(row, published=broken))
+        (verdict,) = audit_tables([dataclasses.replace(row, published=broken)])
         assert [m.field for m in verdict.mismatches] == [field]
         assert not verdict.known
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from eaqec import eaqecc
-from eaqec.codes import ClassicalCode, Distance, dual, min_distance, random_code
+from eaqec.codes import ClassicalCode, Defect, Distance, dual, min_distance, random_code
 from eaqec.eaqecc import (
     EaqeccParams,
     TableTuple,
@@ -274,19 +274,19 @@ class TestDefect:
         ]
         for (n, k, d, c), h, label in cases:
             p = EaqeccParams(q=2, n=n, k=k, d=Distance.exact(d), c=c)
-            got = ea_singleton_defect(p)
-            assert (got.value, got.label) == (h, label)
-            assert not got.negative and not got.from_bound
+            assert ea_singleton_defect(p) == Defect(h, label)
 
     def test_negative_flagged(self):
         p = EaqeccParams(q=2, n=4, k=0, d=Distance.exact(4), c=1)
-        got = ea_singleton_defect(p)
-        assert got.value == -1 and got.negative
-        assert got.label == "-1-EAQMDS"
+        # returned as it is, not rejected; the sign is the value's own
+        assert ea_singleton_defect(p) == Defect(-1, "-1-EAQMDS")
 
     def test_bound_flagged(self):
+        # a bound gives the same record as the exact value; p.d says which it is
         p = EaqeccParams(q=2, n=3, k=2, d=Distance.lower_bound(2), c=1)
-        assert ea_singleton_defect(p).from_bound
+        exact = EaqeccParams(q=2, n=3, k=2, d=Distance.exact(2), c=1)
+        assert not p.d.is_exact
+        assert ea_singleton_defect(p) == ea_singleton_defect(exact) == Defect(0, "EAQMDS")
 
 
 class TestParseFormat:

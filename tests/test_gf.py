@@ -166,6 +166,15 @@ def test_constructor_errors():
         FieldSpec(2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x+1)^2 over GF(2)
 
 
+def test_linear_modulus_is_canonical():
+    # prime-field arithmetic never reads the modulus: any monic linear one is x
+    assert FieldSpec(3, 1, (1, 1)) == FieldSpec(3, 1)
+    assert hash(FieldSpec(3, 1, (1, 1))) == hash(FieldSpec(3, 1))
+    assert FieldSpec(2, 1, (1, 1)).modulus == (0, 1)
+    with pytest.raises(NotIrreducible):
+        FieldSpec(3, 1, (1, 2))  # not monic
+
+
 def test_gf4_unique_irreducible_quadratic():
     good = []
     for c0 in range(2):

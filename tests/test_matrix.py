@@ -51,6 +51,28 @@ def test_construction_and_validation():
     assert row.shape == (1, 3)
 
 
+def test_float_entries_rejected():
+    # not truncated to [[0, 1]]
+    with pytest.raises(ValueError, match="integers"):
+        MatrixGF(GF3, [[0.5, 1.9]])
+
+
+def test_string_entries_rejected():
+    with pytest.raises(ValueError, match="integers"):
+        MatrixGF(GF3, [["1", "0"]])
+
+
+def test_entries_beyond_int64_rejected():
+    # numpy holds such ints in an object array
+    with pytest.raises(ValueError, match="integers"):
+        MatrixGF(GF3, [[2**70]])
+
+
+def test_empty_data_accepted():
+    assert MatrixGF(GF3, []).shape == (0, 0)
+    assert MatrixGF(GF3, np.zeros((0, 3))).shape == (0, 3)
+
+
 def test_zeros():
     z = MatrixGF.zeros(GF3, 2, 3)
     assert z.shape == (2, 3) and not z.array().any()

@@ -1,7 +1,10 @@
-"""Package surface: every exported name resolves, every public name has a
-caller, and layers load on demand."""
+"""Package surface: every exported name resolves, every public name and
+record field has a caller, layers load on demand, and the README's library
+example prints what it says."""
 
 import ast
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -21,6 +24,7 @@ def test_every_exported_name_resolves():
 
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "eaqec"
 
 # Public names that no program calls, each kept for a stated reason.
 KEPT_WITHOUT_CALLER = {
@@ -68,19 +72,47 @@ def referenced_names(paths):
     return names
 
 
-def test_every_public_name_has_a_caller():
-    # callers are the programs: the package itself without its export map,
-    # the scripts, the benchmark and the acceptance criteria; not the unit tests
-    src = ROOT / "src" / "eaqec"
-    callers = [p for p in src.glob("*.py") if p.name != "__init__.py"]
+def program_files():
+    """The callers: the package itself without its export map, the scripts,
+    the benchmark and the acceptance criteria; not the unit tests."""
+    callers = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
     callers += [*ROOT.glob("scripts/*.py"), *ROOT.glob("bench/*.py")]
     callers.append(ROOT / "tests" / "test_acceptance.py")
-    used = referenced_names(callers)
-    unused = {q for q, name in public_definitions(src).items() if name not in used}
+    return callers
+
+
+def test_every_public_name_has_a_caller():
+    used = referenced_names(program_files())
+    unused = {q for q, name in public_definitions(SRC).items() if name not in used}
     missing = sorted(unused - set(KEPT_WITHOUT_CALLER))
     assert not missing, f"public names without a caller: {missing}"
     stale = sorted(set(KEPT_WITHOUT_CALLER) - unused)
     assert not stale, f"kept names that now have a caller: {stale}"
+
+
+def record_fields(src):
+    """{'module.Class.field': field} of every annotated field of a public class."""
+    found = {}
+    for path in src.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name[0] != "_":
+                for sub in node.body:
+                    if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                        found[f"{path.stem}.{node.name}.{sub.target.id}"] = sub.target.id
+    return found
+
+
+def test_every_record_field_is_read():
+    # read means read as an attribute, x.field; the field's own annotation and
+    # the constructor keywords that set it do not count
+    read = {
+        node.attr
+        for path in program_files()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = sorted(q for q, name in record_fields(SRC).items() if name not in read)
+    assert not unread, f"record fields that no program reads: {unread}"
 
 
 def test_importing_one_layer_leaves_the_others_unloaded():
@@ -136,3 +168,13 @@ def test_matrix_subcommand_loads_numpy(tmp_path):
     path = tmp_path / "hamming.txt"
     path.write_text("q 2 poly 0,1\n1 0 1 0 1 0 1\n0 1 1 0 0 1 1\n0 0 0 1 1 1 1\n")
     assert run_cli_probe(["mindist", "--code", str(path)]) == ["0", "True"]
+
+
+def test_readme_library_example_prints_its_comments():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    expected = [ln[2:] for ln in block.splitlines() if ln.startswith("# ")]
+    assert expected and out.getvalue().splitlines() == expected
