@@ -21,7 +21,8 @@ if TYPE_CHECKING:
 
 DEFAULT_BUDGET = 1 << 24
 
-# Entries (words x length) in min_distance's table of low-row combinations.
+# Entries (length x words) in min_distance's table of low-row combinations:
+# 1 MiB of uint8 for q <= 128, 2 or 4 MiB for larger fields.
 _SPAN_ENTRIES = 1 << 20
 
 # Budget of singleton_defect's dual-distance search (the NMDS test).
@@ -181,14 +182,24 @@ def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
     nonzero codeword is a nonzero multiple of exactly one of their words, of
     the same weight.  Those with lead row i are G[i] plus each combination of
     the rows after it.  The combinations of the last t rows are one table,
-    ordered so that its first q^r entries span the last r rows, with at most
+    ordered so that its first q^r words span the last r rows, with at most
     _SPAN_ENTRIES entries; the rows between the lead row and the table are
-    walked one coefficient tuple at a time, each adding one vector to the
-    whole table.  Memory stays at a few tables, whatever the budget.
+    walked one coefficient tuple at a time, each adding one vector v to the
+    whole table.
+
+    The table is held column-major, one word per column (n x words), in the
+    smallest unsigned dtype that holds the sum of two field elements,
+    2(q - 1), which the table's own build adds in prime fields: uint8 up to
+    q = 128, then uint16 or uint32.  A word of table + v has weight equal to
+    the number of coordinates where the table differs from -v, so the walk
+    compares and counts down each column (in the smallest unsigned dtype
+    that holds n) and does no field addition.  Memory is a few tables of
+    entries x dtype width, whatever the budget.
     """
     import numpy as np
 
-    if not isinstance(budget, int) or not 1 <= budget <= DEFAULT_BUDGET:
+    if (isinstance(budget, bool) or not isinstance(budget, int)
+            or not 1 <= budget <= DEFAULT_BUDGET):
         raise BudgetInvalid(
             f"budget must be an integer in [1, {DEFAULT_BUDGET}], got {budget!r}"
         )
@@ -198,24 +209,28 @@ def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
         return Distance.unknown()
     spec, n, k, q = code.spec, code.n, code.k, code.spec.q
     G = code.G.array()
+    dtype = np.min_scalar_type(2 * (q - 1))
+    weights = np.min_scalar_type(n)
     t = 0
     while t < k - 1 and q ** (t + 1) * n <= _SPAN_ENTRIES:
         t += 1
-    span = np.zeros((1, n), dtype=np.int64)
-    scalars = np.arange(q, dtype=np.int64)[:, None]
+    span = np.zeros((n, 1), dtype=dtype)
+    scalars = np.arange(q, dtype=np.int64)
     for row in G[k - t:][::-1]:
-        multiples = spec.vmul(scalars, row[None, :])
-        span = spec.vadd(multiples[:, None, :], span[None, :, :]).reshape(-1, n)
+        multiples = spec.vmul(row[:, None], scalars).astype(dtype)
+        span = spec.vadd(multiples[:, :, None], span[:, None, :]).astype(dtype, copy=False)
+        span = span.reshape(n, -1)
     best = n + 1
     for lead in range(k):
-        table = span[: q ** min(k - 1 - lead, t)]
+        table = span[:, : q ** min(k - 1 - lead, t)]
         head = G[lead + 1 : k - t]
         for coeffs in product(range(q), repeat=len(head)):
             v = G[lead]
             for c, row in zip(coeffs, head):
                 if c:
                     v = spec.vadd(v, spec.vmul(c, row))
-            best = min(best, int(np.count_nonzero(spec.vadd(table, v), axis=1).min()))
+            neg_v = spec.vneg(v).astype(dtype)
+            best = min(best, int((table != neg_v[:, None]).sum(axis=0, dtype=weights).min()))
             if best == 1:
                 return Distance.exact(1)
     return Distance.exact(best)

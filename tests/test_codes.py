@@ -2,6 +2,7 @@
 
 from itertools import product
 import random
+import tracemalloc
 
 import pytest
 
@@ -234,6 +235,12 @@ class TestMinDistance:
             with pytest.raises(BudgetInvalid):
                 min_distance(code, budget=bad)
 
+    def test_bool_budget_rejected(self):
+        # True is an int equal to 1, not a budget
+        for bad in (True, False):
+            with pytest.raises(BudgetInvalid):
+                min_distance(hamming(), budget=bad)
+
     def test_zero_code_rejected(self):
         code = random_code(GF2, 4, 0, random.Random(0))
         with pytest.raises(ValueError):
@@ -305,6 +312,53 @@ class TestMinDistance:
                 k = rng.choice([k for k in range(1, n) if spec.q ** k <= 1 << 12])
                 code = monomial_image(random_code(spec, n, k, rng), rng)
                 assert min_distance(code) == Distance.exact(oracle_distance(code))
+
+    # the table's dtype holds 2(q - 1): uint8 up to q = 128, then uint16 or uint32
+    @pytest.mark.parametrize("spec", [FieldSpec(127, 1), FieldSpec(2, 7), FieldSpec(2, 8)],
+                             ids=repr)
+    def test_dtype_boundaries(self, spec):
+        rng = random.Random(spec.q)
+        for n, k in ((5, 1), (5, 2), (6, 2)):
+            code = monomial_image(random_code(spec, n, k, rng), rng)
+            assert min_distance(code) == Distance.exact(oracle_distance(code))
+        # a Reed-Solomon [8, 3, 6] code walks a table of q^2 words
+        rows = [[spec.pow(x, i) for x in range(1, 9)] for i in range(3)]
+        code = monomial_image(ClassicalCode.from_generator(MatrixGF(spec, rows)), rng)
+        assert min_distance(code) == Distance.exact(6)
+
+    def test_largest_prime_field(self):
+        # GF(1048573), below the 2^20 field cap, needs uint32; a [6, 1] code
+        # with no zero entry is MDS
+        spec = FieldSpec(1048573, 1)
+        code = ClassicalCode.from_generator(MatrixGF(spec, [[1, 2, 3, spec.q - 1, 7, 1 << 19]]))
+        assert min_distance(code) == Distance.exact(6)
+
+    def test_weights_past_255(self):
+        # word weights are counted in the smallest dtype that holds n
+        code = ClassicalCode.from_generator(MatrixGF(GF2, [[1] * 300]))
+        assert min_distance(code) == Distance.exact(300)
+
+    def test_low_row_sums_past_255(self):
+        # over GF(131) the table's build adds multiples of the low rows whose
+        # sum passes 255 before it is reduced; a table that wraps at 256 reads
+        # 3.  d = 4 by codewords(), which takes seconds over 131^3 words.
+        spec = FieldSpec(131, 1)
+        g = [[1, 0, 0, 130, 130, 130, 6], [0, 1, 0, 127, 128, 127, 16],
+             [0, 0, 1, 130, 129, 130, 109]]
+        code = ClassicalCode.from_generator(MatrixGF(spec, g))
+        assert min_distance(code) == Distance.exact(4)
+
+    def test_memory_is_a_few_tables(self):
+        # a [32, 16]_2 table holds 2^14 x 32 uint8 entries, 0.5 MiB
+        code = random_code(GF2, 32, 16, random.Random(32))
+        tracemalloc.start()
+        try:
+            d = min_distance(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.is_exact
+        assert peak < 4 << 20
 
     def test_does_not_walk_codewords(self, monkeypatch):
         def forbidden(self):
