@@ -45,7 +45,9 @@ _MAX_VECTOR_BITS = 20  # q^n test vectors in _syndrome_classes
 _MAX_COLUMN_WORK_BITS = 27  # q^k * q^k * k column products there, all the work when r = 0
 # GF(4) and GF(4^k1), built once: the inner limit k1 <= 2 makes them the only two
 _FIELDS: dict[int, FieldSpec] = {}
-# nt_w_bruteforce walks its index range in chunks of this many vectors
+# nt_w_bruteforce keys and bincounts this many vectors at a time (a power of
+# two): a run of high index parts, each with every low part of the whole
+# blocks that fit here.  Its arrays hold a few times this many bytes.
 _CHUNK = 1 << 16
 
 
@@ -84,12 +86,20 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _check_sizes(**sizes) -> None:
+    """Refuse a size that is not an int, or is a bool (True would pass as 1)."""
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def psi_t(n1: int, n2: int, t: int) -> WeightPolynomial:
     """Psi_t(x) = C(n2, t) * [(1+3x)^n1 - 1]^t, exact coefficients.
 
     The coefficient of x^w counts the quaternary vectors of length n1*n2
     with weight w and exactly t nonzero n1-blocks.
     """
+    _check_sizes(n1=n1, n2=n2, t=t)
     if n1 < 1 or n2 < 1:
         raise DomainError("need n1 >= 1 and n2 >= 1")
     if not 0 <= t <= n2:
@@ -105,6 +115,40 @@ def psi_t(n1: int, n2: int, t: int) -> WeightPolynomial:
     return WeightPolynomial(tuple(scale * c for c in acc), n_e=n1 * n2)
 
 
+def _block_keys(x, n1: int, blocks: int, width: int, marks) -> np.ndarray:
+    """The keys t * width + w (uint8) of the indices in x (uint32).
+
+    An index holds `blocks` blocks of n1 coordinates, 2 bits per coordinate
+    and 2*n1 bits per block; t counts its nonzero blocks and w its nonzero
+    coordinates.  Folding each pair onto its low bit, marks = (x | x >> 1) &
+    0x55..55, marks the nonzero coordinates, so w = popcount(marks).  A
+    block's marks sit on even bits below its top (odd) bit, which marks never
+    sets.  Adding 2^(2*n1-1) - 1 to every block carries into that top bit
+    exactly when the block has a mark, and the sum stays below 2^(2*n1), so no
+    carry reaches the next block: t is the popcount of the top bits of
+    marks + fill.  That is three array ops for any block count (Warren,
+    Hacker's Delight, 2nd ed., section 6-1).  marks, of x's length, is
+    scratch; x is left as it was.
+    """
+    import numpy as np
+
+    if not blocks:  # the formula gives key 0 here too; this skips its ops, ~10 us a call
+        return np.zeros(x.size, dtype=np.uint8)
+    span = 2 * n1
+    ones = ((1 << span * blocks) - 1) // ((1 << span) - 1)  # bit 0 of each block
+    fill, guards = ((1 << span - 1) - 1) * ones, ones << span - 1
+    np.right_shift(x, 1, out=marks)
+    marks |= x
+    marks &= 0x55555555
+    keys = np.bitwise_count(marks)
+    marks += fill
+    marks &= guards
+    t = np.bitwise_count(marks)
+    t *= width
+    t += keys
+    return t
+
+
 def nt_w_bruteforce(n1: int, n2: int) -> np.ndarray:
     """Exhaustive (t, w) table over all 4^(n1*n2) quaternary vectors.
 
@@ -112,21 +156,29 @@ def nt_w_bruteforce(n1: int, n2: int) -> np.ndarray:
     must match psi_t coefficients exactly.  Every vector is visited and
     counted from its own coordinates; psi_t is never consulted.
 
-    Each vector is its index in [0, 4^(n1*n2)), 2 bits per coordinate and
-    n1 coordinates (2*n1 bits) per block.  Folding each pair onto its low
-    bit, marks = (x | x >> 1) & 0x55..55, marks the nonzero coordinates, so
-    w = popcount(marks).  A block's marks sit on even bits below its top
-    (odd) bit, which marks never sets.  Adding 2^(2*n1-1) - 1 to every block
-    carries into that top bit exactly when the block has a mark, and the sum
-    stays below 2^(2*n1), so no carry reaches the next block: t is the
-    popcount of the top bits of marks + fill.  That is three array ops for
-    any block count (Warren, Hacker's Delight, 2nd ed., section 6-1).
+    Each vector is its index in [0, 4^(n1*n2)), 2 bits per coordinate, and
+    its bincount key is t * (ne + 1) + w (_block_keys).  The index splits at
+    a block boundary: the low part holds the most whole blocks, j, whose
+    2^(2*n1*j) indices fit in _CHUNK, and the high part the other n2 - j.
+    Both t and w are sums over blocks, so a vector's key is the sum of its
+    two parts' keys; a split inside a block would break t.  The low part's
+    keys are computed once.  Each chunk computes the keys of a run of
+    _CHUNK / 4^(n1*j) high values, writes the key of every one of its
+    vectors as high key + low key in one broadcast add, and bincounts them,
+    so all 4^ne keys are still written out and counted; the low and high
+    histograms are never multiplied, which is psi_t's own product formula.
+    When no whole block fits (n1 >= 9 at 2^16) the low part is one empty
+    index with key 0 and each chunk is _CHUNK indices keyed directly.
 
-    The range is walked in chunks of _CHUNK indices through reused uint32
-    buffers.  The bincount key t * (ne + 1) + w stays in uint8: the cap of
-    2^24 vectors (_MAX_ENSEMBLE_BITS) bounds ne by 12, so the key is at most
-    12*13 + 12 = 168 < 256.
+    Keys stay in uint8: the cap of 2^24 vectors (_MAX_ENSEMBLE_BITS) bounds
+    ne by 12, so a key is at most 12*13 + 12 = 168 < 256, and so is each
+    part's key.  Memory is a few arrays of at most _CHUNK entries, whatever
+    the size: the low part's uint32 indices and scratch while its keys are
+    computed, then the uint8 low keys and chunk keys, the high run's uint32
+    indices and scratch, and bincount's own intp copy of a chunk (8 bytes a
+    key, the largest).
     """
+    _check_sizes(n1=n1, n2=n2)
     if n1 < 1 or n2 < 1:
         raise DomainError("need n1 >= 1 and n2 >= 1")
     ne = n1 * n2
@@ -134,29 +186,23 @@ def nt_w_bruteforce(n1: int, n2: int) -> np.ndarray:
         raise TooLarge(f"4^{ne} vectors exceed the enumeration cap")
     import numpy as np
 
-    total = 4**ne
-    span = 2 * n1
-    fill = np.uint32(sum(((1 << span - 1) - 1) << span * j for j in range(n2)))
-    guards = np.uint32(sum(1 << span * j + span - 1 for j in range(n2)))
-    low_bits = np.uint32(0x55555555)
-    width = np.uint8(ne + 1)
-    table = np.zeros((n2 + 1) * (ne + 1), dtype=np.int64)
-    step = min(_CHUNK, total)
-    base = np.arange(step, dtype=np.uint32)
-    x = np.empty(step, dtype=np.uint32)
-    marks = np.empty(step, dtype=np.uint32)
-    for start in range(0, total, step):
-        np.add(base, np.uint32(start), out=x)
-        np.right_shift(x, 1, out=marks)
-        np.bitwise_or(marks, x, out=marks)
-        np.bitwise_and(marks, low_bits, out=marks)
-        np.add(marks, fill, out=x)
-        np.bitwise_and(x, guards, out=x)
-        key = np.bitwise_count(x)
-        key *= width
-        key += np.bitwise_count(marks)
-        table += np.bincount(key, minlength=table.size)
-    return table.reshape(n2 + 1, ne + 1)
+    width = ne + 1
+    j = min(n2, (_CHUNK.bit_length() - 1) // (2 * n1))
+    lows, highs = 4 ** (n1 * j), 4 ** (n1 * (n2 - j))
+    low_keys = _block_keys(np.arange(lows, dtype=np.uint32), n1, j, width,
+                           np.empty(lows, dtype=np.uint32))
+    run = min(_CHUNK // lows, highs)
+    x = np.arange(run, dtype=np.uint32)
+    marks = np.empty(run, dtype=np.uint32)
+    keys = np.empty(run * lows, dtype=np.uint8)
+    rows = keys.reshape(run, lows)
+    table = np.zeros((n2 + 1) * width, dtype=np.int64)
+    for _ in range(0, highs, run):
+        high_keys = _block_keys(x, n1, n2 - j, width, marks)
+        np.add(high_keys[:, None], low_keys, out=rows)
+        table += np.bincount(keys, minlength=table.size)
+        x += run
+    return table.reshape(n2 + 1, width)
 
 
 @dataclass(frozen=True)
@@ -175,12 +221,14 @@ class EnsembleSpec:
     c2: int | None = None
 
     def __post_init__(self):
+        _check_sizes(n1=self.n1, k1=self.k1, n2=self.n2, k2=self.k2)
         if not (1 <= self.k1 <= self.n1 and 1 <= self.k2 <= self.n2):
             raise DomainError("need 1 <= k <= n for both components")
         if self.c1 is None:
             object.__setattr__(self, "c1", self.n1 - self.k1)
         if self.c2 is None:
             object.__setattr__(self, "c2", self.n2 - self.k2)
+        _check_sizes(c1=self.c1, c2=self.c2)
         if not 0 <= self.c1 <= self.n1 - self.k1:
             raise DomainError(f"c1 must lie in [0, {self.n1 - self.k1}]")
         if not 0 <= self.c2 <= self.n2 - self.k2:
@@ -408,9 +456,9 @@ def ensemble_exhaustive(n1: int, k1: int, n2: int, k2: int) -> EnsembleReport:
     probability exactly (field size)^-(parity count), independent of its
     weight.  Inner experiment over GF(4), outer over GF(4^k1).
     """
+    spec = EnsembleSpec(n1, k1, n2, k2)
     if n1 > 3 or k1 > 2:
         raise TooLarge("inner experiment limited to n1 <= 3, k1 <= 2")
-    spec = EnsembleSpec(n1, k1, n2, k2)
     q_outer = 4**spec.kbar1  # 4^(k1*r1) inner and q_outer^(k2*r2) outer matrices
     if 4 * spec.kbar1 * k2 > _MAX_COLUMN_WORK_BITS:
         raise TooLarge(f"{q_outer}^{2 * k2} * {k2} column products exceed the enumeration cap")

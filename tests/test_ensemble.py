@@ -197,10 +197,25 @@ class TestBruteforceTable:
 
     @pytest.mark.parametrize("n1,n2", SMALL_SIZES + [(1, 7), (7, 1)])
     def test_matches_reference_across_many_chunks(self, monkeypatch, n1, n2):
-        # 16-vector chunks: every size above ne = 2 spans several chunks,
-        # so chunk offsets and the last chunk are exercised
-        monkeypatch.setattr(ensemble, "_CHUNK", 16)
-        assert nt_w_bruteforce(n1, n2).tolist() == nt_w_per_vector(n1, n2)
+        # Small chunks: every size above ne = 2 spans several, so chunk
+        # offsets and the last chunk are exercised.  Across the three sizes
+        # the low part of whole blocks is empty (n1 >= 3 at 16), takes one
+        # high value per chunk ((1, *) at 64) or several ((2, *) at 64).
+        want = nt_w_per_vector(n1, n2)
+        for chunk in (16, 64, 1024):
+            monkeypatch.setattr(ensemble, "_CHUNK", chunk)
+            assert nt_w_bruteforce(n1, n2).tolist() == want, chunk
+
+    @pytest.mark.parametrize("n1,n2", [(2, 3), (2, 6), (9, 1)])
+    def test_every_vector_is_counted(self, monkeypatch, n1, n2):
+        # each of the 4^ne keys is written out and bincounted, a chunk at a
+        # time; the low and high parts' histograms are never combined
+        sizes = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda a, **kw: sizes.append(a.size) or bincount(a, **kw))
+        nt_w_bruteforce(n1, n2)
+        assert sum(sizes) == 4 ** (n1 * n2)
+        assert max(sizes) == min(ensemble._CHUNK, 4 ** (n1 * n2))
 
     @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 2), (3, 2), (2, 3), (1, 5), (3, 3)])
     def test_matches_psi(self, n1, n2):
@@ -227,6 +242,27 @@ class TestBruteforceTable:
             nt_w_bruteforce(13, 1)
         with pytest.raises(DomainError):
             nt_w_bruteforce(0, 3)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (nt_w_bruteforce, (True, 2)),
+        (nt_w_bruteforce, (2.0, 3)),
+        (psi_t, (1, 2, True)),
+        (psi_t, (2, 2.0, 1)),
+        (ensemble_exhaustive, (True, True, 2, 1)),
+        (ensemble_exhaustive, ("2", 1, 2, 1)),
+        (EnsembleSpec, (2, 1, 2, 1, True)),
+        (EnsembleSpec, (2, 1, 2.0, 1)),
+    ],
+    ids=["nt_w-bool", "nt_w-float", "psi-bool", "psi-float", "exhaustive-bool",
+         "exhaustive-str", "spec-bool-c1", "spec-float"],
+)
+def test_sizes_must_be_integers(call, args):
+    # True would pass as 1, and 2.0 died inside numpy with a bare TypeError
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(*args)
 
 
 class TestEnsembleSpec:
