@@ -2,10 +2,11 @@
 
 Covers the maximum-length bounds for almost-MDS constructions, exact
 genus-2 rational-point counts N_q(2), the Weil upper bound, the
-Tsfasman-Vladut-Zink rate line, a small registry of asymptotic rate
-families for concatenated entanglement-assisted codes, the quaternary
-entropy function with its GV-style root solver, and CSV emission of
-sampled curves.
+Tsfasman-Vladut-Zink rate line, the quaternary entropy function with its
+GV-style root solver, and asymptotic rate curves with their CSV emission.
+The C5-C8 families are one rule: an inner code concatenated with EA outer
+codes on the TVZ line.  Their inner tuples are inferred from the families'
+closed forms, since PAPER.md holds only the abstract.
 
 All real arithmetic is binary64; integer bounds are exact.  The special-q
 test in genus2_points uses the fractional part of 2*sqrt(q) against the
@@ -110,17 +111,22 @@ def entropy_q4(gamma: float) -> float:
     )
 
 
-def tvz_rate(q: int, delta: float) -> float:
-    """Tsfasman-Vladut-Zink rate 1 - delta - 1/(sqrt(q) - 1) for square q >= 4."""
+def _tvz_gap(q: int) -> float:
+    """1/(sqrt(q) - 1), the TVZ line's gap below 1 - delta, for square prime powers q >= 4."""
     s = isqrt(q)
     if s * s != q:
         raise NotSquare(f"{q} is not a square")
     if prime_power(q) is None or q < 4:
         raise DomainError(f"{q} is not a prime power >= 4")
-    a = s - 1
-    if not 0.0 <= delta <= 1.0 - 1.0 / a:
-        raise DomainError(f"delta {delta} outside [0, 1 - 1/{a}]")
-    return 1.0 - delta - 1.0 / a
+    return 1.0 / (s - 1)
+
+
+def tvz_rate(q: int, delta: float) -> float:
+    """Tsfasman-Vladut-Zink rate 1 - delta - 1/(sqrt(q) - 1) for square q >= 4."""
+    gap = _tvz_gap(q)
+    if not 0.0 <= delta <= 1.0 - gap:
+        raise DomainError(f"delta {delta} outside [0, 1 - 1/{isqrt(q) - 1}]")
+    return 1.0 - delta - gap
 
 
 def gv_root_x0(r_e: float, c_e: float) -> float:
@@ -147,10 +153,22 @@ def gv_root_x0(r_e: float, c_e: float) -> float:
 # Largest m the C5-C8 families take: 2 ** (m // 2) still converts to a float.
 MAX_M = 2047
 
+# C5-C8 as rows of one rule: (inner (n1, k1, d1) of m, parity of m, bound m
+# must exceed, net rate, closed domain end), the inners [[m, m, 1; 0]]_2 and
+# [[m, m-1, 2; 1]]_2.  C7's end is open as that family was first stated; the
+# rule would close it.  P1a and P1b are the paper's names for C5 and C6.
+_C5 = (lambda m: (m, m, 1), 0, 1, False, True)
+_C6 = (lambda m: (m, m - 1, 2), 1, 2, False, True)
+_ROWS = {
+    "P1a": _C5, "P1b": _C6, "C5": _C5, "C6": _C6,
+    "C7": (lambda m: (m, m, 1), 0, 3, True, False),
+    "C8": (lambda m: (m, m - 1, 2), 1, 4, True, True),
+}
+FAMILY_NAMES = (*_ROWS, "GV")
 
-def _checked_m(params: dict, parity: int, min_m: int) -> tuple[int, float]:
-    """m of the given parity (0 even, 1 odd) in (min_m, MAX_M], with
-    eps = 1 / (2^floor(m/2) - 1); for odd m, floor(m/2) = (m - 1)/2."""
+
+def _checked_m(params: dict, parity: int, min_m: int) -> int:
+    """m of the given parity (0 even, 1 odd) in (min_m, MAX_M]."""
     m = params.get("m")
     if not isinstance(m, int):
         raise BadFamilyParams("family needs an integer parameter m")
@@ -159,65 +177,46 @@ def _checked_m(params: dict, parity: int, min_m: int) -> tuple[int, float]:
         raise BadFamilyParams(f"need {word} m > {min_m}, got {m}")
     if m > MAX_M:
         raise BadFamilyParams(f"m = {m} exceeds the cap {MAX_M}")
-    return m, 1.0 / (2 ** (m // 2) - 1)
-
-
-def _c5(params):
-    m, eps = _checked_m(params, 0, 1)
-    return (lambda d: 1.0 - m * d - eps), (1.0 - eps) / m, True
-
-
-def _c6(params):
-    m, eps = _checked_m(params, 1, 2)
-    return (
-        lambda d: (1.0 - 1.0 / m) * (1.0 - (m / 2.0) * d - eps),
-        2.0 * (1.0 - eps) / m,
-        True,
-    )
-
-
-def _c7(params):
-    m, eps = _checked_m(params, 0, 3)
-    return (lambda d: 1.0 - 2.0 * m * d - 2.0 * eps), (1.0 - 2.0 * eps) / (2.0 * m), False
-
-
-def _c8(params):
-    m, eps = _checked_m(params, 1, 4)
-    return (
-        lambda d: (2.0 - 2.0 / m) * (1.0 - (m / 2.0) * d - eps) - 1.0,
-        (1.0 - 1.0 / (m - 1) - 2.0 * eps) / m,
-        True,
-    )
-
-
-def _gv(params):
-    ce = params.get("ce")
-    if not isinstance(ce, (int, float)) or not 0.0 <= ce < 1.0:
-        raise BadFamilyParams("GV family needs ce in [0, 1)")
-    return (lambda d: 1.0 + ce - 2.0 * entropy_q4(d)), gv_root_x0(0.0, ce), True
-
-
-# Each family checks its parameters once and returns (rate, delta_max,
-# max_included), the rate a function of delta.  P1a and P1b are the paper's
-# names for C5 and C6.
-_FAMILIES = {
-    "P1a": _c5, "P1b": _c6, "C5": _c5, "C6": _c6, "C7": _c7, "C8": _c8, "GV": _gv,
-}
-FAMILY_NAMES = tuple(_FAMILIES)
+    return m
 
 
 def _resolve(family: str, params: dict):
-    """(rate, delta_max, max_included) of a family with checked parameters."""
-    if family not in _FAMILIES:
+    """(rate, inside) of a family with checked parameters: the rate as a
+    function of delta, and the test of a delta against the family's domain.
+
+    A C5-C8 row concatenates its inner code with outer codes on the TVZ line
+    over GF(2^k1), which multiplies rates and relative distances (Forney,
+    1966): R = r1 * (1 - delta*n1/d1 - gap), or 2R - 1 (the rate under
+    maximal entanglement) for a net row.  The domain ends at its zero.
+    """
+    if family in _ROWS:
+        inner, parity, min_m, net, closed = _ROWS[family]
+        n1, k1, d1 = inner(_checked_m(params, parity, min_m))
+        # One gap per curve: tvz_rate at each delta would refuse closed ends
+        # where delta*n1/d1 rounds past 1 - gap.  r1 and the ends are written in
+        # the forms that give the closed forms' ends exactly and their printed samples.
+        gap, r1 = _tvz_gap(2**k1), 1.0 - (n1 - k1) / n1
+        if net:
+            rate = lambda d: 2.0 * r1 * (1.0 - d * n1 / d1 - gap) - 1.0
+            hi = (1.0 - (n1 - k1) / k1 - 2.0 * gap) * d1 / (2 * n1)
+        else:
+            rate = lambda d: r1 * (1.0 - d * n1 / d1 - gap)
+            hi = (1.0 - gap) * d1 / n1
+    elif family == "GV":
+        ce = params.get("ce")
+        if not isinstance(ce, (int, float)) or not 0.0 <= ce < 1.0:
+            raise BadFamilyParams("GV family needs ce in [0, 1)")
+        rate, hi, closed = (lambda d: 1.0 + ce - 2.0 * entropy_q4(d)), gv_root_x0(0.0, ce), True
+    else:
         known = ", ".join(FAMILY_NAMES)
         raise BadFamilyParams(f"unknown family {family!r}; known: {known}")
-    return _FAMILIES[family](params)
+    return rate, (lambda d: 0.0 <= d <= hi and (closed or d < hi))
 
 
 def rate_value(family: str, delta: float, **params) -> float:
     """Rate of one family at one delta; DomainError outside the stated domain."""
-    rate, hi, closed = _resolve(family, params)
-    if not (0.0 <= delta <= hi and (closed or delta < hi)):
+    rate, inside = _resolve(family, params)
+    if not inside(delta):
         raise DomainError(f"delta {delta} outside the domain of {family} {params}")
     return rate(delta)
 
@@ -268,11 +267,9 @@ def _check_grid(deltas) -> tuple[float, ...]:
 
 def sample_curve(family: str, deltas, **params) -> BoundCurve:
     """Sample one family on a strictly increasing grid, keeping in-domain points."""
-    rate, hi, closed = _resolve(family, params)
+    rate, inside = _resolve(family, params)
     grid = _check_grid(deltas)
-    samples = tuple(
-        (d, rate(d)) for d in grid if 0.0 <= d <= hi and (closed or d < hi)
-    )
+    samples = tuple((d, rate(d)) for d in grid if inside(d))
     return BoundCurve(
         family=family,
         params=tuple(sorted(params.items())),

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from eaqec import bounds
 from eaqec.bounds import (
+    MAX_M,
     BoundCurve,
     FAMILY_NAMES,
     LOG4_3,
@@ -22,6 +24,7 @@ from eaqec.bounds import (
     tvz_rate,
     weil_bound,
 )
+from eaqec.eaqecc import parse_params
 from eaqec.errors import (
     BadFamilyParams,
     DomainError,
@@ -211,6 +214,70 @@ def domain_top(family, m=None, ce=None):
         "C7": ((1.0 - 2.0 * eps) / (2.0 * m), False),
         "C8": ((1.0 - 1.0 / (m - 1) - 2.0 * eps) / m, True),
     }[family]
+
+
+def closed_form(family, m, delta):
+    """C5-C8 rates by the paper's closed forms, eps = 1/(2^floor(m/2) - 1)."""
+    eps = 1.0 / (2 ** (m // 2) - 1)
+    return {
+        "C5": 1.0 - m * delta - eps,
+        "C6": (1.0 - 1.0 / m) * (1.0 - (m / 2.0) * delta - eps),
+        "C7": 1.0 - 2.0 * m * delta - 2.0 * eps,
+        "C8": (2.0 - 2.0 / m) * (1.0 - (m / 2.0) * delta - eps) - 1.0,
+    }[family]
+
+
+# (family, the closed form it follows, least m); m steps by 2 from there
+CONCATENATED = [
+    ("P1a", "C5", 2), ("P1b", "C6", 3), ("C5", "C5", 2),
+    ("C6", "C6", 3), ("C7", "C7", 4), ("C8", "C8", 5),
+]
+
+
+class TestConcatenationRule:
+    @pytest.mark.parametrize("family, form, least", CONCATENATED)
+    def test_every_m_prints_the_closed_form(self, family, form, least):
+        grid = [i * 0.0005 for i in range(1501)]
+        for m in range(least, MAX_M + 1, 2):
+            hi, included = domain_top(form, m=m)
+            for d in grid:
+                if d > hi or (d == hi and not included):
+                    break
+                got = f"{rate_value(family, d, m=m):.12g}"
+                assert got == f"{closed_form(form, m, d):.12g}", (family, m, d)
+
+    @pytest.mark.parametrize("family, form, least", CONCATENATED)
+    def test_every_end_is_the_closed_form(self, family, form, least):
+        # the float just past the end is refused and the one before accepted,
+        # so the end the rule computes is domain_top's to the last bit
+        for m in range(least, MAX_M + 1, 2):
+            hi, included = domain_top(form, m=m)
+            rate_value(family, math.nextafter(hi, 0.0), m=m)
+            with pytest.raises(DomainError):
+                rate_value(family, math.nextafter(hi, 1.0), m=m)
+            if included:
+                rate_value(family, hi, m=m)
+            else:
+                with pytest.raises(DomainError):
+                    rate_value(family, hi, m=m)
+
+    @pytest.mark.parametrize(
+        "family, m, text",
+        [("C5", 4, "[[4,4,1;0]]_2"), ("C5", 10, "[[10,10,1;0]]_2"),
+         ("C6", 5, "[[5,4,2;1]]_2"), ("C6", 9, "[[9,8,2;1]]_2"),
+         ("C7", 6, "[[6,6,1;0]]_2"), ("C8", 7, "[[7,6,2;1]]_2")],
+    )
+    def test_inner_codes(self, family, m, text):
+        # each row's inner builds as a maximal-entanglement parameter tuple, and
+        # its rate times the TVZ line over GF(2^k1), at delta*n1/d1, is the
+        # closed form (2R - 1 for the net families C7 and C8)
+        n1, k1, d1 = bounds._ROWS[family][0](m)
+        code = parse_params(f"{n1},{k1},{d1},{n1 - k1},2")
+        assert code.render() == text and code.is_maximal
+        for d in (0.0, 0.25 / m, 0.5 / m):
+            r = k1 / n1 * tvz_rate(2 ** k1, d * n1 / d1)
+            want = 2 * r - 1 if family in ("C7", "C8") else r
+            assert want == pytest.approx(closed_form(family, m, d), abs=1e-15)
 
 
 class TestRateFamilies:

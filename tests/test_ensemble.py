@@ -151,6 +151,30 @@ class TestPsi:
                         m_next[w] += 3 ** i * math.comb(n1, i) * m_prev[w - i]
                 m_prev = m_next
 
+    def test_large_call_against_closed_values(self):
+        # the binomial sum cancels heavily here; its totals at x = 1 and x = -1
+        # and its lowest and highest weights have closed forms
+        n1, n2, t = 100, 100, 50
+        poly = psi_t(n1, n2, t)
+        scale = math.comb(n2, t)
+        assert poly.evaluate(1) == scale * (4 ** n1 - 1) ** t
+        assert poly.evaluate(-1) == scale * ((-2) ** n1 - 1) ** t
+        assert poly.coefficients[: t + 1] == (0,) * t + (scale * (3 * n1) ** t,)
+        assert poly.coefficients[-1] == scale * 3 ** (n1 * t)
+
+    def test_work_cap_refuses_at_once(self):
+        for args in ((100, 100, 100), (1, 10**4, 10**4)):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match="above the cap 150000"):
+                psi_t(*args)
+            assert time.perf_counter() - start < 1.0
+
+    def test_series_over_the_cap_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="above the cap"):
+            phi_series_value(EnsembleSpec(3, 2, 400, 200), Fraction(1, 2))
+        assert time.perf_counter() - start < 1.0
+
     def test_validation(self):
         with pytest.raises(DomainError):
             psi_t(0, 2, 0)
