@@ -16,9 +16,9 @@ golden-ratio threshold (sqrt(5)-1)/2, decided exactly in integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import isqrt
 
+from ._record import Record
 from .errors import BadFamilyParams, DomainError, FieldTooLarge, NoRoot, NotSquare
 from .primes import MAX_FIELD_SIZE, is_prime, prime_power
 
@@ -221,8 +221,7 @@ def rate_value(family: str, delta: float, **params) -> float:
     return rate(delta)
 
 
-@dataclass(frozen=True)
-class BoundCurve:
+class BoundCurve(Record):
     """A sampled rate curve: (delta, R) pairs within the family's domain."""
 
     family: str

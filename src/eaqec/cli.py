@@ -12,7 +12,6 @@ per line as whitespace-separated integers in [0, q).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import TYPE_CHECKING
 
@@ -21,7 +20,9 @@ from .codes import DEFAULT_BUDGET
 from .errors import BadFamilyParams, DomainError, EaqecError, ParseError
 
 # Each subcommand imports the layers it calls, so that only the ones that
-# read matrix files (css, hermitian, mindist) load numpy.
+# read matrix files (css, hermitian, mindist) load numpy.  The others, the
+# parameter subcommands, also leave dataclasses and inspect unloaded, and
+# json too unless --json asks for records.
 if TYPE_CHECKING:
     from .codes import ClassicalCode
     from .eaqecc import EaqeccParams
@@ -89,6 +90,8 @@ class _Out:
 
     def record(self, obj: dict):
         if self.as_json:
+            import json
+
             print(json.dumps(obj, sort_keys=True))
 
 

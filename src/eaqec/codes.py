@@ -9,10 +9,10 @@ ever silently promotes a bound to an exact value.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import BudgetInvalid, DistanceUnknown, FieldMismatch
 
 if TYPE_CHECKING:
@@ -29,12 +29,17 @@ _SPAN_ENTRIES = 1 << 20
 _DUAL_BUDGET = 1 << 16
 
 
-@dataclass(frozen=True)
-class Distance:
+class Distance(Record):
     """Minimum-distance status: 'exact', 'bound' (design lower bound), or 'unknown'."""
 
     kind: str
     value: int | None = None
+
+    def __init__(self, kind: str, value: int | None = None):
+        # spelled out: Record's general constructor takes about twice as long
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["value"] = value
 
     @classmethod
     def exact(cls, d: int) -> "Distance":
@@ -48,9 +53,9 @@ class Distance:
             raise ValueError(f"distance bound must be >= 1, got {d}")
         return cls("bound", d)
 
-    @classmethod
-    def unknown(cls) -> "Distance":
-        return cls("unknown", None)
+    @staticmethod
+    def unknown() -> "Distance":
+        return _UNKNOWN
 
     @property
     def is_known(self) -> bool:
@@ -78,6 +83,10 @@ class Distance:
         if token.startswith(">="):
             return cls.lower_bound(int(token[2:]))
         return cls.exact(int(token))
+
+
+# Every unknown distance is this one: ClassicalCode builds one per code.
+_UNKNOWN = Distance("unknown")
 
 
 class ClassicalCode:
@@ -236,8 +245,7 @@ def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
     return Distance.exact(best)
 
 
-@dataclass(frozen=True)
-class Defect:
+class Defect(Record):
     """A Singleton defect and its class label (classical or EA)."""
 
     value: int

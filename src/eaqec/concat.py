@@ -34,10 +34,10 @@ not audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 
+from ._record import Record
 from .codes import Distance
 from .eaqecc import EaqeccParams, Provenance, TableTuple
 from .errors import (
@@ -122,8 +122,7 @@ def expurgate(code: EaqeccParams, t: int) -> EaqeccParams:
 # --- table rows ---
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Record):
     table: str
     index: int
     inner: TableTuple
@@ -220,15 +219,13 @@ def load_bundled_tables() -> list[TableRow]:
 # --- auditing ---
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(Record):
     field: str
     expected: int
     published: int
 
 
-@dataclass(frozen=True)
-class RowVerdict:
+class RowVerdict(Record):
     """A row's mismatches; known marks exactly the one documented discrepancy."""
 
     row: TableRow

@@ -24,9 +24,9 @@ fully specified tuple through it, and format_params writes one back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .codes import Defect, Distance
 from .errors import (
     DistanceUnknown,
@@ -42,16 +42,14 @@ if TYPE_CHECKING:
     from .matrix import MatrixGF
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(Record):
     """One construction step: op is the CLI subcommand, args its inputs."""
 
     op: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class EaqeccParams:
+class EaqeccParams(Record, uncompared=("provenance",)):
     """[[n, k, d; c]]_q.  provenance None marks a literal parameter tuple.
 
     Literal tuples may carry suspicious values (e.g. negative net rate k - c)
@@ -64,7 +62,7 @@ class EaqeccParams:
     k: int
     d: Distance
     c: int
-    provenance: Provenance | None = field(default=None, compare=False)
+    provenance: Provenance | None = None
 
     def __post_init__(self):
         if prime_power(self.q) is None:
@@ -205,8 +203,7 @@ def hermitian_construct(code: ClassicalCode, q0: int) -> EaqeccParams:
     )
 
 
-@dataclass(frozen=True)
-class TableTuple:
+class TableTuple(Record):
     """A printed tuple 'n,k,d,c,q' as it stands, before it is built.
 
     k may carry a '*' marking it as the net transmission k - c, d a '>='

@@ -24,12 +24,12 @@ blocks lies in the sample code with probability 0 or exactly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .bounds import entropy_q4
 from .errors import DomainError, ParseError, TooLarge
 
@@ -54,8 +54,7 @@ _FIELDS: dict[int, FieldSpec] = {}
 _CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class WeightPolynomial:
+class WeightPolynomial(Record):
     """Nonnegative integer coefficients indexed by weight, degree <= n_e."""
 
     coefficients: tuple[int, ...]
@@ -206,8 +205,7 @@ def nt_w_bruteforce(n1: int, n2: int) -> np.ndarray:
     return table.reshape(n2 + 1, width)
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(Record):
     """Sizes of the concatenated ensemble; entanglement defaults to maximal.
 
     kbar1/kbar2 are the component EA dimensions 2k - n + c; with the
@@ -338,8 +336,7 @@ def avg_codeword_bound(spec: EnsembleSpec, gamma: float) -> float:
     return exponent + spec.n2 * _log2_1p_pow(inner)
 
 
-@dataclass(frozen=True)
-class Theorem2Bound:
+class Theorem2Bound(Record):
     log2: float
     tau: float
     c_const: float
@@ -370,8 +367,7 @@ def theorem2_probability_bound(spec: EnsembleSpec, delta_e: float) -> Theorem2Bo
 # --- exhaustive validation of the syndrome probabilities ---
 
 
-@dataclass(frozen=True)
-class ClassStat:
+class ClassStat(Record):
     """Observed syndrome-kill frequencies for one class of test vectors."""
 
     experiment: str
@@ -394,8 +390,7 @@ class ClassStat:
         )
 
 
-@dataclass(frozen=True)
-class EnsembleReport:
+class EnsembleReport(Record):
     spec: EnsembleSpec
     inner_matrices: int
     outer_matrices: int

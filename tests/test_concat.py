@@ -1,12 +1,11 @@
 """Concatenation, length transforms, and the bundled-table audit."""
 
-import dataclasses
-
 import pytest
 
 from eaqec import concat
 from eaqec.codes import ClassicalCode, Distance, min_distance
 from eaqec.concat import (
+    TableRow,
     audit_tables,
     concatenate,
     expurgate,
@@ -185,7 +184,7 @@ class TestProvenance:
         if op == "literal":
             # the numbers of a valid concatenation, without its provenance
             base = concatenate(INNER422, outer4("5,3,2,1,4"))
-            code = dataclasses.replace(base, provenance=None)
+            code = EaqeccParams(q=base.q, n=base.n, k=base.k, d=base.d, c=base.c)
         else:
             build, args = provenance_case(op)
             code = build(*args)
@@ -276,6 +275,18 @@ def rows():
 @pytest.fixture(scope="module")
 def report(rows):
     return audit_tables(rows)
+
+
+def republished(row, published):
+    """The row with another published tuple; derived is computed afresh."""
+    return TableRow(
+        table=row.table,
+        index=row.index,
+        inner=row.inner,
+        outer=row.outer,
+        transform=row.transform,
+        published=published,
+    )
 
 
 class TestBundledTables:
@@ -385,7 +396,7 @@ class TestBundledTables:
             c=row.published.c,
             q=row.published.q,
         )
-        (verdict,) = audit_tables([dataclasses.replace(row, published=broken)])
+        (verdict,) = audit_tables([republished(row, broken)])
         assert not verdict.consistent
         assert [m.field for m in verdict.mismatches] == ["n"]
         assert not verdict.known
@@ -397,11 +408,10 @@ class TestBundledTables:
     def test_corrupted_count_is_flagged_as_unknown(self, rows, table, field):
         row = next(r for r in rows if r.table == table)
         pub = row.published
-        if field == "d":
-            broken = dataclasses.replace(pub, d=Distance(pub.d.kind, pub.d.value + 1))
-        else:
-            broken = dataclasses.replace(pub, k=pub.k + 1)
-        (verdict,) = audit_tables([dataclasses.replace(row, published=broken)])
+        d = Distance(pub.d.kind, pub.d.value + 1) if field == "d" else pub.d
+        k = pub.k if field == "d" else pub.k + 1
+        broken = TableTuple(n=pub.n, k=k, k_is_net=pub.k_is_net, d=d, c=pub.c, q=pub.q)
+        (verdict,) = audit_tables([republished(row, broken)])
         assert [m.field for m in verdict.mismatches] == [field]
         assert not verdict.known
 

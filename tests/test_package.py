@@ -1,6 +1,6 @@
 """Package surface: every exported name resolves, every public name and
-record field has a caller, layers load on demand, and the README's library
-example prints what it says."""
+record field has a caller, records are frozen values, layers load on demand,
+and the README's library example prints what it says."""
 
 import ast
 import contextlib
@@ -8,11 +8,25 @@ import io
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import eaqec
+from eaqec import concat
+from eaqec.bounds import BoundCurve
+from eaqec.codes import Defect, Distance
+from eaqec.concat import Mismatch, RowVerdict, TableRow, concatenate
+from eaqec.eaqecc import EaqeccParams, Provenance, TableTuple, parse_params
+from eaqec.ensemble import (
+    ClassStat,
+    EnsembleReport,
+    EnsembleSpec,
+    Theorem2Bound,
+    WeightPolynomial,
+)
+from eaqec.errors import DomainError
 
 
 def test_every_exported_name_resolves():
@@ -115,6 +129,94 @@ def test_every_record_field_is_read():
     assert not unread, f"record fields that no program reads: {unread}"
 
 
+def table_row():
+    """A row built by keyword, so that nothing has derived it yet."""
+    return TableRow(
+        table="I",
+        index=1,
+        inner=TableTuple.parse("4,2,2,0,2"),
+        outer=TableTuple.parse("25,13,12,12,4"),
+        transform=("base", 0),
+        published=TableTuple.parse("100,26,>=24,24,2"),
+    )
+
+
+def record_samples():
+    """One instance of every public record."""
+    spec = EnsembleSpec(n1=3, k1=1, n2=4, k2=2)
+    row = table_row()
+    return [
+        BoundCurve("C5", (("m", 4.0),), ((0.0, 1.0),)),
+        Defect(0, "MDS"),
+        Distance.exact(3),
+        Mismatch("n", 100, 101),
+        RowVerdict(row, (), False),
+        row,
+        parse_params("4,2,2,0,2"),
+        Provenance("concat", ()),
+        TableTuple.parse("23,1*,11,?,4"),
+        ClassStat("inner", True, 3, (Fraction(0),), Fraction(0)),
+        EnsembleReport(spec, 1, 1, ()),
+        spec,
+        Theorem2Bound(log2=-1.0, tau=1.0, c_const=2.0, prefactor=1.5),
+        WeightPolynomial((1, 3), 1),
+    ]
+
+
+def test_records_are_frozen():
+    fields = {}
+    for q, name in record_fields(SRC).items():
+        fields.setdefault(q.rsplit(".", 1)[0], []).append(name)
+    samples = {
+        f"{type(r).__module__.split('.')[-1]}.{type(r).__name__}": r for r in record_samples()
+    }
+    assert samples.keys() == fields.keys()
+    for key, record in samples.items():
+        for name in fields[key]:
+            before = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            assert getattr(record, name) is before
+        assert record == record and hash(record) == hash(record)
+
+
+def test_record_construction():
+    assert Distance("bound", 2) == Distance(kind="bound", value=2) != Distance.exact(2)
+    assert Distance("unknown") == Distance.unknown()
+    assert repr(Distance.exact(3)) == "Distance(kind='exact', value=3)"
+    with pytest.raises(TypeError):
+        Mismatch("n", 100)
+    with pytest.raises(TypeError):
+        Mismatch("n", 100, 101, extra=1)
+    # keyword construction runs the validation, and fills defaults in it
+    with pytest.raises(DomainError, match="negative coefficient"):
+        WeightPolynomial(coefficients=(1, -1), n_e=1)
+    with pytest.raises(ValueError, match="not a prime power"):
+        EaqeccParams(q=6, n=4, k=2, d=Distance.exact(2), c=0)
+    spec = EnsembleSpec(n1=3, k1=1, n2=4, k2=2)
+    assert (spec.c1, spec.c2) == (2, 2)
+
+
+def test_provenance_is_left_out_of_equality():
+    code = concatenate(parse_params("4,2,2,0,2"), parse_params("25,13,12,12,4"))
+    literal = EaqeccParams(q=code.q, n=code.n, k=code.k, d=code.d, c=code.c)
+    assert code.provenance is not None and literal.provenance is None
+    assert code == literal and hash(code) == hash(literal)
+    assert code != EaqeccParams(q=code.q, n=code.n, k=code.k, d=code.d, c=code.c + 1)
+
+
+def test_table_row_derives_once(monkeypatch):
+    calls = []
+    real = concat.concatenate
+    monkeypatch.setattr(
+        concat, "concatenate", lambda inner, outer: calls.append(1) or real(inner, outer)
+    )
+    row = table_row()
+    first = row.derived
+    assert row.derived is first and len(calls) == 1
+    assert first.render() == "[[100,26,>=24;24]]_2"
+
+
 def test_importing_one_layer_leaves_the_others_unloaded():
     probe = (
         "import sys, eaqec.gf; "
@@ -128,13 +230,14 @@ def test_importing_one_layer_leaves_the_others_unloaded():
     assert out.strip() == "['eaqec', 'eaqec.errors', 'eaqec.gf', 'eaqec.primes']"
 
 
-# Runs cli.main(argv) in a fresh interpreter; prints the exit code and
-# whether numpy got loaded.
+# Runs cli.main(argv) in a fresh interpreter; prints the exit code and which
+# of these costly modules got loaded: numpy, the dataclass module with the
+# inspect it imports, and json, which only --json needs.
 CLI_PROBE = (
     "import contextlib, io, sys, eaqec.cli\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = eaqec.cli.main(sys.argv[1:])\n"
-    "print(code, 'numpy' in sys.modules)"
+    "print(code, *[m for m in ('numpy', 'dataclasses', 'inspect', 'json') if m in sys.modules])"
 )
 
 
@@ -160,14 +263,17 @@ def run_cli_probe(argv):
     ids=lambda argv: argv[0],
 )
 def test_parameter_subcommands_do_not_load_numpy(argv):
-    assert run_cli_probe(argv) == ["0", "False"]
+    # nor dataclasses, inspect or, without --json, json
+    assert run_cli_probe(argv) == ["0"]
 
 
 def test_matrix_subcommand_loads_numpy(tmp_path):
-    # the probe above would pass vacuously if it could never see numpy
+    # the probe above would pass vacuously if it could never see numpy, which
+    # loads inspect, or json
     path = tmp_path / "hamming.txt"
     path.write_text("q 2 poly 0,1\n1 0 1 0 1 0 1\n0 1 1 0 0 1 1\n0 0 0 1 1 1 1\n")
-    assert run_cli_probe(["mindist", "--code", str(path)]) == ["0", "True"]
+    code, *loaded = run_cli_probe(["mindist", "--code", str(path), "--json"])
+    assert code == "0" and {"numpy", "inspect", "json"} <= set(loaded)
 
 
 def test_readme_library_example_prints_its_comments():
