@@ -16,8 +16,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .codes import DEFAULT_BUDGET
-from .errors import BadFamilyParams, DomainError, EaqecError, ParseError
+from .errors import DEFAULT_BUDGET, BadFamilyParams, DomainError, EaqecError, ParseError
 
 # Each subcommand imports the layers it calls, so that only the ones that
 # read matrix files (css, hermitian, mindist) load numpy.  The others, the

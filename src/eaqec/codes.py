@@ -13,13 +13,11 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from ._record import Record
-from .errors import BudgetInvalid, DistanceUnknown, FieldMismatch
+from .errors import DEFAULT_BUDGET, BudgetInvalid, DistanceUnknown, FieldMismatch
 
 if TYPE_CHECKING:
     from .gf import FieldSpec
     from .matrix import MatrixGF
-
-DEFAULT_BUDGET = 1 << 24
 
 # Entries (length x words) in min_distance's table of low-row combinations:
 # 1 MiB of uint8 for q <= 128, 2 or 4 MiB for larger fields.

@@ -74,7 +74,7 @@ def concatenate(inner: EaqeccParams, outer: EaqeccParams) -> EaqeccParams:
 
 def extend(code: EaqeccParams, t: int) -> EaqeccParams:
     """Lengthen by t positions: [[n+t, k, >=d; c]]; net transmission unchanged."""
-    if not isinstance(t, int) or t < 0:
+    if isinstance(t, bool) or not isinstance(t, int) or t < 0:
         raise ValueError(f"extension amount must be a non-negative integer, got {t!r}")
     if t == 0:
         return code
@@ -105,7 +105,7 @@ def expurgate(code: EaqeccParams, t: int) -> EaqeccParams:
         raise ProvenanceMismatch(
             f"expurgation needs inner [[4,2,2;0]]_2, found {inner.render()}"
         )
-    if not isinstance(t, int) or t < 1:
+    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
         raise ValueError(f"expurgation amount must be a positive integer, got {t!r}")
     if t > outer.n:
         raise TooManyBlocks(f"cannot replace {t} of {outer.n} inner blocks")

@@ -47,6 +47,11 @@ class DistanceUnknown(EaqecError):
     pass
 
 
+# The largest search budget min_distance accepts, and its default.  Kept
+# here, beside BudgetInvalid, so the CLI reads it without loading codes.
+DEFAULT_BUDGET = 1 << 24
+
+
 class BudgetInvalid(EaqecError):
     pass
 

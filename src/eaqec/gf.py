@@ -12,31 +12,31 @@ fields (m = 1) store the degenerate modulus x whatever monic linear one is
 given, so any two specs of GF(p) are equal, and need no table entry.  Moduli
 supplied by the caller are verified irreducible by trial division against all
 monic polynomials of degree <= m/2.  Supported fields: prime q <= 2**20, and
-extension fields q <= 1024 (_TABLE_CAP), whose vector ops read full q x q
-tables.
+extension fields q <= 1024 (_TABLE_CAP), whose scalar and vector ops read
+full q x q tables.
 
-Scalar operations work on (and return) plain ints.  add, neg, sub (add of
-neg), mul and pow to a nonnegative power read no tables; they build the
-tables and are the reference that tests check them against.  Scalar inv of
-an extension field reads _inv_table, which test_inv_matches_fermat_power
-checks against the table-free pow.  Each rule is written once: odd extension
-fields add and negate through the digit codec coeffs/from_coeffs, and
-_mul_poly reduces its product with _poly_rem, as the irreducibility test
-does.  GF(2^m) keeps a carry-less product on the integer bits, which builds
-its tables 2-3x faster: every CLI process builds the tables it reads afresh,
-and the tests run the scalar ops as oracles over whole fields.
-
-The v*-prefixed methods are exact vectorized counterparts on numpy integer
-arrays.  Each op has one path per field kind: XOR in characteristic 2,
-integer arithmetic mod p in prime fields, and lookup tables in extension
-fields.  The mul, inv and conjugation tables are read off the exp/log arrays
-of one primitive element; the addition table adds base-p digits, as vsum
-does, and negation is read off it.  vsub is vadd of vneg.  vsub_outer is the
-fused rank-1 update a - f (x) row that elimination applies at each pivot, in
-place where the field allows.  vconj is the conjugation x -> x^r of an
-even-degree field GF(r^2), r = p^(m/2), which the Hermitian form uses; odd
-degrees raise FieldMismatch.  Each table is a cached property of its field,
+Scalar operations work on (and return) plain ints, and each op has one path
+per field kind: XOR addition in characteristic 2, integer arithmetic mod p
+in prime fields, and lookup tables in extension fields.  The v*-prefixed
+methods are their exact vectorized counterparts on numpy integer arrays, and
+in an extension field the scalar and vector ops read the same tables, so
+the two cannot disagree.  Each table is a cached property of its field,
 built on first use.
+
+The product table comes straight from the modulus: column b = sum b_j p^j
+holds a * b for every a, and is filled one digit of b at a time by adding
+x^j a to an earlier column.  x^j a is x^(j-1) a with its base-p digits
+shifted up one place; the digit t shifted out of place m folds back in as
+-t (modulus - x^m).  This holds for any irreducible modulus, primitive or
+not, and the fold and the irreducibility test are the only places the
+modulus enters.  Additions while building go through vsum, whose digit loop
+is the one vectorized rule for adding base-p digits; the addition table is
+vsum of the stacked operand grid, and the negation, inverse and conjugation
+tables are read off the addition and product tables.  vsub is vadd of vneg.
+vsub_outer is the fused rank-1 update a - f (x) row that elimination
+applies at each pivot, in place where the field allows.  vconj is the
+conjugation x -> x^r of an even-degree field GF(r^2), r = p^(m/2), which
+the Hermitian form uses; odd degrees raise FieldMismatch.
 """
 
 from __future__ import annotations
@@ -151,7 +151,6 @@ class FieldSpec:
         self.m = m
         self.q = q
         self.modulus = modulus
-        self._modulus_int = sum(c * p ** i for i, c in enumerate(modulus))
 
     # --- identity ---
 
@@ -171,22 +170,6 @@ class FieldSpec:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.m})"
 
-    # --- encoding helpers ---
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Base-p digits of a, length m, least significant first."""
-        out = []
-        for _ in range(self.m):
-            a, r = divmod(a, self.p)
-            out.append(r)
-        return tuple(out)
-
-    def from_coeffs(self, cs) -> int:
-        v = 0
-        for c in reversed(list(cs)):
-            v = v * self.p + c % self.p
-        return v
-
     # --- scalar arithmetic (ints in [0, q)) ---
 
     def add(self, a: int, b: int) -> int:
@@ -194,47 +177,22 @@ class FieldSpec:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        return self.from_coeffs(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
+        return self._add_table.item(a, b)
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
         if self.m == 1:
             return (-a) % self.p
-        return self.from_coeffs(-c for c in self.coeffs(a))
+        return self._neg_table.item(a)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         if self.m == 1:
             return (a * b) % self.p
-        if self.p == 2:
-            # carry-less multiply, then reduce by the modulus bit pattern
-            r = 0
-            x, y = a, b
-            while y:
-                if y & 1:
-                    r ^= x
-                y >>= 1
-                x <<= 1
-            mod = self._modulus_int
-            mbits = self.m + 1
-            while r.bit_length() >= mbits:
-                r ^= mod << (r.bit_length() - mbits)
-            return r
-        return self._mul_poly(a, b)
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        conv = [0] * (2 * self.m - 1)
-        db = self.coeffs(b)
-        for i, ai in enumerate(self.coeffs(a)):
-            if ai:
-                for j, bj in enumerate(db):
-                    conv[i + j] += ai * bj
-        return self.from_coeffs(_poly_rem(conv, self.modulus, self.p))
+        return self._mul_table.item(a, b)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -254,56 +212,44 @@ class FieldSpec:
             return pow(a, -1, self.p)
         return self._inv_table[a]
 
-    # --- tables, each built on first use ---
+    # --- tables of an extension field, each built on first use ---
 
-    @cached_property
-    def _explog(self):
-        """exp/log arrays to a primitive element; extension fields only."""
-        q, n = self.q, self.q - 1
-        factors = [f for f in range(2, n + 1) if n % f == 0 and is_prime(f)]
-        gen = next(
-            g for g in range(2, q) if all(self.pow(g, n // f) != 1 for f in factors)
-        )
-        exp = np.zeros(n, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        v = 1
-        for i in range(n):
-            exp[i] = v
-            log[v] = i
-            v = self.mul(v, gen)
-        return exp, log
+    def _digit_sum(self, a, b):
+        """a + b by base-p digits, for arrays that broadcast together."""
+        return self.vsum(np.stack(np.broadcast_arrays(a, b)), axis=0)
 
     @cached_property
     def _mul_table(self):
-        exp, log = self._explog
-        li = log[1:]
-        t = np.zeros((self.q, self.q), dtype=np.int64)
-        t[1:, 1:] = exp[(li[:, None] + li[None, :]) % (self.q - 1)]
+        """a * b at [a, b], from the modulus alone.  Column b = sum b_j p^j is
+        filled one digit of b at a time, as column b - p^j plus x^j a.  x^j a
+        is x^(j-1) a with its digits shifted up one place, and the digit t
+        shifted out of place m comes back as -t (modulus - x^m)."""
+        p, m, q = self.p, self.m, self.q
+        top = p ** (m - 1)
+        fold = np.array(
+            [sum((-t * c) % p * p**i for i, c in enumerate(self.modulus[:m])) for t in range(p)]
+        )
+        t = np.zeros((q, q), dtype=np.int64)
+        xa = np.arange(q, dtype=np.int64)  # x^j a for every a
+        for j in range(m):
+            if j:
+                xa = self._digit_sum(xa % top * p, fold[xa // top])
+            pj = p**j
+            for c in range(1, p):
+                t[:, c * pj : (c + 1) * pj] = self._digit_sum(
+                    t[:, (c - 1) * pj : c * pj], xa[:, None]
+                )
         t.setflags(write=False)
-        return t
-
-    def _pow_table(self, e: int):
-        """a^e for every a != 0 as exp[e * log(a)], and 0 at a = 0."""
-        exp, log = self._explog
-        t = np.zeros(self.q, dtype=np.int64)
-        t[1:] = exp[(e * log[1:]) % (self.q - 1)]
         return t
 
     @cached_property
     def _inv_table(self) -> tuple[int, ...]:
         """inv[a] for a != 0, as plain ints for scalar lookups; inv[0] is unused."""
-        return tuple(self._pow_table(-1).tolist())
+        return tuple(np.argmax(self._mul_table == 1, axis=1).tolist())
 
     @cached_property
     def _add_table(self):
-        digits = np.arange(self.q, dtype=np.int64)
-        t = np.zeros((self.q, self.q), dtype=np.int64)
-        pw = 1
-        for _ in range(self.m):
-            d = digits % self.p
-            t += ((d[:, None] + d[None, :]) % self.p) * pw
-            digits //= self.p
-            pw *= self.p
+        t = self.vsum(np.indices((self.q, self.q)), axis=0)
         t.setflags(write=False)
         return t
 
@@ -318,7 +264,8 @@ class FieldSpec:
         """x -> x^r, r = p^(m/2); needs an even degree m."""
         if self.m % 2:
             raise FieldMismatch(f"{self!r} is not a quadratic extension field")
-        t = self._pow_table(self.p ** (self.m // 2))
+        r = self.p ** (self.m // 2)
+        t = np.array([self.pow(a, r) for a in range(self.q)], dtype=np.int64)
         t.setflags(write=False)
         return t
 

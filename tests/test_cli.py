@@ -13,7 +13,7 @@ import pytest
 from eaqec.bounds import MAX_M, gv_root_x0, rate_value
 from eaqec.cli import main, read_matrix_file
 from eaqec.eaqecc import parse_params
-from eaqec.errors import ParseError
+from eaqec.errors import DEFAULT_BUDGET, ParseError
 
 REP2 = "q 2 poly 1,1\n1 1\n"
 HAMMING = (
@@ -591,9 +591,10 @@ class TestMindist:
 
     def test_bad_budget(self, capsys, tmp_path):
         ham = write(tmp_path, "h.txt", HAMMING)
-        code, _, err = run(capsys, ["mindist", "--code", ham, "--budget", "0"])
-        assert code == 3
-        assert err.startswith("error: BudgetInvalid")
+        for budget in ("0", str(DEFAULT_BUDGET + 1)):
+            code, _, err = run(capsys, ["mindist", "--code", ham, "--budget", budget])
+            assert code == 3
+            assert err.startswith("error: BudgetInvalid")
 
     def test_extension_field_above_log_cap(self, capsys, tmp_path):
         # GF(727^2) and GF(2^11) are under the 2^20 field cap but above the

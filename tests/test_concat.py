@@ -113,6 +113,8 @@ class TestExtend:
             extend(base, -1)
         with pytest.raises(ValueError):
             extend(base, 1.5)
+        with pytest.raises(ValueError):
+            extend(base, True)  # bool subclasses int; it is not t = 1
 
     def test_on_literal_tuple(self):
         out = extend(parse_params("3,2,2,1,2"), 2)
@@ -149,6 +151,8 @@ class TestExpurgate:
             expurgate(base, 0)
         with pytest.raises(ValueError):
             expurgate(base, -2)
+        with pytest.raises(ValueError):
+            expurgate(base, True)
 
 
 def classical(spec, parity_check):

@@ -274,27 +274,54 @@ def test_inv_matches_fermat_power(spec):
         assert spec.inv(a) == spec.pow(a, spec.q - 2)
 
 
-TABLES = {"_explog", "_mul_table", "_inv_table", "_add_table", "_neg_table", "_conj_table"}
+TABLES = {"_mul_table", "_inv_table", "_add_table", "_neg_table", "_conj_table"}
 
 
 def test_tables_built_on_first_use():
     # a cached property stores its table in the instance dict when first read
     prime = FieldSpec(5, 1)
-    assert prime.inv(2) == 3
+    assert (prime.add(4, 3), prime.mul(2, 4), prime.inv(2)) == (2, 3, 3)
     assert not TABLES & vars(prime).keys()
+    char2 = FieldSpec(2, 4)
+    assert char2.add(3, 5) == 6 and char2.neg(7) == 7
+    assert not TABLES & vars(char2).keys()
     spec = FieldSpec(3, 2)
     assert not TABLES & vars(spec).keys()
+    spec.add(1, 5)
+    assert TABLES & vars(spec).keys() == {"_add_table"}
     spec.inv(2)
-    assert TABLES & vars(spec).keys() == {"_explog", "_inv_table"}
-    spec.vsub(np.arange(9), np.arange(9))
-    assert {"_add_table", "_neg_table"} <= vars(spec).keys()
+    assert TABLES & vars(spec).keys() == {"_add_table", "_mul_table", "_inv_table"}
+    spec.vneg(np.arange(9))
+    assert "_neg_table" in vars(spec)
     assert "_conj_table" not in vars(spec)
     spec.vconj(np.arange(9))
     assert "_conj_table" in vars(spec)
 
 
+def schoolbook(p, m, modulus, rows):
+    """(mul, add, neg) rows of GF(p^m) for the elements in rows, by schoolbook
+    arithmetic on digit arrays: the polynomial product reduced by long
+    division by the modulus, and digit-wise addition and negation mod p."""
+    q = p**m
+    place = p ** np.arange(m)
+    da = (np.asarray(rows)[:, None] // place) % p
+    db = (np.arange(q)[:, None] // place) % p
+    conv = np.zeros((len(da), q, 2 * m - 1), dtype=np.int64)
+    for i in range(m):
+        for j in range(m):
+            conv[:, :, i + j] += da[:, None, i] * db[None, :, j]
+    for k in range(2 * m - 2, m - 1, -1):
+        lead = conv[:, :, k] % p
+        for i, c in enumerate(modulus):
+            conv[:, :, k - m + i] -= lead * c
+    mul = (conv[:, :, :m] % p) @ place
+    add = ((da[:, None, :] + db[None, :, :]) % p) @ place
+    neg = ((-da) % p) @ place
+    return mul, add, neg
+
+
 # moduli whose root x is not primitive (order 5 in GF(16), 4 in GF(9)), so
-# the exp/log tables rest on the generator search rather than on x
+# a table read off the powers of x would miss elements
 NON_PRIMITIVE_X = [
     pytest.param(FieldSpec(2, 4, modulus=(1, 1, 1, 1, 1)), id="GF(2^4)-x4+x3+x2+x+1"),
     pytest.param(FieldSpec(3, 2, modulus=(1, 0, 1)), id="GF(3^2)-x2+1"),
@@ -307,30 +334,41 @@ NON_PRIMITIVE_X = [
     + NON_PRIMITIVE_X,
 )
 def test_tables_match_scalar_reference(spec):
-    # every entry of every table the field builds, against the table-free
-    # scalar ops; add and neg tables exist only in odd characteristic, the
-    # conjugation table only in even degree
+    # every entry of every table the field builds, and the scalar ops that
+    # read them, against the schoolbook reference, which shares no code with
+    # the field; the conjugation table exists only in even degree
     q = spec.q
-    mul = spec._mul_table
+    mul, add, neg = schoolbook(spec.p, spec.m, spec.modulus, range(q))
+    assert np.array_equal(spec._mul_table, mul)
+    assert np.array_equal(spec._add_table, add)
+    assert np.array_equal(spec._neg_table, neg)
     inv = spec._inv_table
+    assert all(mul[a, inv[a]] == 1 for a in range(1, q))
     for a in range(q):
-        for b in range(q):
-            assert mul[a, b] == spec.mul(a, b)
-        if a:
-            assert spec.mul(a, inv[a]) == 1
+        assert [spec.mul(a, b) for b in range(q)] == mul[a].tolist()
+        assert [spec.add(a, b) for b in range(q)] == add[a].tolist()
+        assert spec.neg(a) == neg[a]
     if spec.m % 2 == 0:
-        r = spec.p ** (spec.m // 2)
-        conj = spec._conj_table
-        for a in range(q):
-            assert conj[a] == spec.pow(a, r)
-    if spec.p == 2:
-        return
-    add = spec._add_table
-    neg = spec._neg_table
-    for a in range(q):
-        assert neg[a] == spec.neg(a)
-        for b in range(q):
-            assert add[a, b] == spec.add(a, b)
+        elements = np.arange(q)
+        conj = elements
+        for _ in range(spec.p ** (spec.m // 2) - 1):
+            conj = mul[conj, elements]
+        assert np.array_equal(spec._conj_table, conj)
+
+
+def test_tables_match_scalar_reference_above_builtins():
+    # sampled rows of GF(2^10) under a user modulus, x^10 + x^3 + 1
+    spec = FieldSpec(2, 10, modulus=(1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))
+    rows = [0, 1, 2, 3, 512, 1023] + random.Random(10).sample(range(4, 1023), 18)
+    mul, add, _ = schoolbook(2, 10, spec.modulus, rows)
+    assert np.array_equal(spec._mul_table[rows], mul)
+    assert np.array_equal(spec._add_table[rows], add)
+    inv = spec._inv_table
+    assert all(spec._mul_table[a, inv[a]] == 1 for a in rows if a)
+    want = rows
+    for _ in range(5):  # a -> a^2 five times: a^32, the conjugate
+        want = [schoolbook(2, 10, spec.modulus, [a])[0][0, a] for a in want]
+    assert spec._conj_table[rows].tolist() == want
 
 
 def test_vmul_broadcasting():

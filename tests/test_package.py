@@ -232,12 +232,14 @@ def test_importing_one_layer_leaves_the_others_unloaded():
 
 # Runs cli.main(argv) in a fresh interpreter; prints the exit code and which
 # of these costly modules got loaded: numpy, the dataclass module with the
-# inspect it imports, and json, which only --json needs.
+# inspect it imports, json, which only --json needs, and eaqec.codes, which
+# only the subcommands that build or read codes need.
 CLI_PROBE = (
     "import contextlib, io, sys, eaqec.cli\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = eaqec.cli.main(sys.argv[1:])\n"
-    "print(code, *[m for m in ('numpy', 'dataclasses', 'inspect', 'json') if m in sys.modules])"
+    "print(code, *[m for m in ('numpy', 'dataclasses', 'inspect', 'json', 'eaqec.codes')\n"
+    "              if m in sys.modules])"
 )
 
 
@@ -263,17 +265,19 @@ def run_cli_probe(argv):
     ids=lambda argv: argv[0],
 )
 def test_parameter_subcommands_do_not_load_numpy(argv):
-    # nor dataclasses, inspect or, without --json, json
-    assert run_cli_probe(argv) == ["0"]
+    # nor dataclasses, inspect or, without --json, json; bounds and gv read
+    # no code parameters, so they leave eaqec.codes unloaded too
+    codes = [] if argv[0] in ("bounds", "gv") else ["eaqec.codes"]
+    assert run_cli_probe(argv) == ["0", *codes]
 
 
 def test_matrix_subcommand_loads_numpy(tmp_path):
     # the probe above would pass vacuously if it could never see numpy, which
-    # loads inspect, or json
+    # loads inspect, json or eaqec.codes
     path = tmp_path / "hamming.txt"
     path.write_text("q 2 poly 0,1\n1 0 1 0 1 0 1\n0 1 1 0 0 1 1\n0 0 0 1 1 1 1\n")
     code, *loaded = run_cli_probe(["mindist", "--code", str(path), "--json"])
-    assert code == "0" and {"numpy", "inspect", "json"} <= set(loaded)
+    assert code == "0" and {"numpy", "inspect", "json", "eaqec.codes"} <= set(loaded)
 
 
 def test_readme_library_example_prints_its_comments():
