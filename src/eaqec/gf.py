@@ -9,9 +9,11 @@ degree m over GF(p).
 Default moduli are Conway polynomials for the shipped extension fields, so the
 integer encoding of every element is stable across runs and machines.  Prime
 fields (m = 1) store the degenerate modulus x whatever monic linear one is
-given, so any two specs of GF(p) are equal, and need no table entry.  Moduli
-supplied by the caller are verified irreducible by trial division against all
-monic polynomials of degree <= m/2.  Supported fields: prime q <= 2**20, and
+given, so any two specs of GF(p) are equal, and need no table entry.  A
+modulus of degree m > 1 supplied by the caller is checked through the product
+table, which is then built at once: GF(p)[x]/(modulus) is a field exactly
+when it has no zero divisors, so a zero product of two nonzero elements
+means the modulus is reducible.  Supported fields: prime q <= 2**20, and
 extension fields q <= 1024 (_TABLE_CAP), whose scalar and vector ops read
 full q x q tables.
 
@@ -27,12 +29,13 @@ The product table comes straight from the modulus: column b = sum b_j p^j
 holds a * b for every a, and is filled one digit of b at a time by adding
 x^j a to an earlier column.  x^j a is x^(j-1) a with its base-p digits
 shifted up one place; the digit t shifted out of place m folds back in as
--t (modulus - x^m).  This holds for any irreducible modulus, primitive or
-not, and the fold and the irreducibility test are the only places the
-modulus enters.  Additions while building go through vsum, whose digit loop
-is the one vectorized rule for adding base-p digits; the addition table is
-vsum of the stacked operand grid, and the negation, inverse and conjugation
-tables are read off the addition and product tables.  vsub is vadd of vneg.
+-t (modulus - x^m).  This holds for any monic modulus, primitive or not,
+and the fold is the only place the modulus enters; additions while building
+go through vadd.  Every sum of base-p digits reads one table, the digits of
+each element: vsum of an odd extension field gathers the digits of its
+terms and sums them mod p, the addition table is vsum of the operand grid,
+and the negation table negates each digit mod p.  The inverse and
+conjugation tables are read off the product table.  vsub is vadd of vneg.
 vsub_outer is the fused rank-1 update a - f (x) row that elimination
 applies at each pivot, in place where the field allows.  vconj is the
 conjugation x -> x^r of an even-degree field GF(r^2), r = p^(m/2), which
@@ -41,6 +44,7 @@ the Hermitian form uses; odd degrees raise FieldMismatch.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 
 import numpy as np
@@ -76,39 +80,11 @@ _BUILTIN_MODULI = {
 }
 
 
-def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num mod den over GF(p); den must be monic."""
-    r = list(num)
-    dd = len(den) - 1
-    for i in range(len(r) - 1, dd - 1, -1):
-        c = r[i] % p
-        if c:
-            for j in range(dd + 1):
-                r[i - dd + j] = (r[i - dd + j] - c * den[j]) % p
-    return [x % p for x in r[:dd]]
-
-
-def _monic_polys(p: int, deg: int):
-    """All monic polynomials of the given degree over GF(p), as coeff lists."""
-    lows = [[]]
-    for _ in range(deg):
-        lows = [lo + [c] for lo in lows for c in range(p)]
-    for lo in lows:
-        yield lo + [1]
-
-
-def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    m = len(coeffs) - 1
-    if m == 1:
-        return True
-    if coeffs[0] == 0:
-        return False  # divisible by x
-    poly = list(coeffs)
-    for deg in range(1, m // 2 + 1):
-        for g in _monic_polys(p, deg):
-            if not any(_poly_rem(poly, g, p)):
-                return False
-    return True
+def _integer(c) -> int:
+    """c as a plain int; a bool, or anything operator.index refuses, raises TypeError."""
+    if isinstance(c, bool):
+        raise TypeError(c)
+    return operator.index(c)
 
 
 class FieldSpec:
@@ -117,7 +93,7 @@ class FieldSpec:
     def __init__(self, p: int, m: int = 1, modulus=None):
         if not isinstance(p, int) or not is_prime(p):
             raise NotPrime(f"p must be prime, got {p!r}")
-        if not isinstance(m, int) or m < 1:
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise NotIrreducible(f"extension degree must be a positive integer, got {m!r}")
         q = p ** m
         if q > MAX_FIELD_SIZE:
@@ -126,7 +102,8 @@ class FieldSpec:
             raise FieldTooLarge(
                 f"extension field p^m = {q} exceeds the table cap {_TABLE_CAP}"
             )
-        if modulus is None:
+        given = modulus is not None
+        if not given:
             if m == 1:
                 modulus = (0, 1)
             else:
@@ -136,21 +113,25 @@ class FieldSpec:
                     raise NoBuiltinModulus(
                         f"no built-in modulus for GF({p}^{m}); pass one explicitly"
                     ) from None
-        modulus = tuple(int(c) for c in modulus)
+        try:
+            modulus = tuple(_integer(c) for c in modulus)
+        except TypeError:
+            raise NotIrreducible(f"modulus coefficients must be integers, got {modulus!r}") from None
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise NotIrreducible(
                 f"modulus must be monic of degree {m}, got coefficients {modulus}"
             )
         if any(not 0 <= c < p for c in modulus):
             raise NotIrreducible("modulus coefficients must lie in [0, p)")
-        if not _is_irreducible(modulus, p):
-            raise NotIrreducible(f"{modulus} is reducible over GF({p})")
         if m == 1:
             modulus = (0, 1)  # prime-field arithmetic never reads the modulus
         self.p = p
         self.m = m
         self.q = q
         self.modulus = modulus
+        # GF(p)[x]/(modulus) is a field exactly when it has no zero divisors
+        if given and m > 1 and not self._mul_table[1:, 1:].all():
+            raise NotIrreducible(f"{modulus} is reducible over GF({p})")
 
     # --- identity ---
 
@@ -179,16 +160,6 @@ class FieldSpec:
             return (a + b) % self.p
         return self._add_table.item(a, b)
 
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.m == 1:
-            return (-a) % self.p
-        return self._neg_table.item(a)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
@@ -214,9 +185,17 @@ class FieldSpec:
 
     # --- tables of an extension field, each built on first use ---
 
-    def _digit_sum(self, a, b):
-        """a + b by base-p digits, for arrays that broadcast together."""
-        return self.vsum(np.stack(np.broadcast_arrays(a, b)), axis=0)
+    @cached_property
+    def _digits(self):
+        """Base-p digits of every element, least significant first: (q, m) uint8."""
+        t = (np.arange(self.q)[:, None] // self._place % self.p).astype(np.uint8)
+        t.setflags(write=False)
+        return t
+
+    @cached_property
+    def _place(self):
+        """p^i for each digit place i: digits @ _place reads elements back."""
+        return self.p ** np.arange(self.m)
 
     @cached_property
     def _mul_table(self):
@@ -233,12 +212,10 @@ class FieldSpec:
         xa = np.arange(q, dtype=np.int64)  # x^j a for every a
         for j in range(m):
             if j:
-                xa = self._digit_sum(xa % top * p, fold[xa // top])
+                xa = self.vadd(xa % top * p, fold[xa // top])
             pj = p**j
             for c in range(1, p):
-                t[:, c * pj : (c + 1) * pj] = self._digit_sum(
-                    t[:, (c - 1) * pj : c * pj], xa[:, None]
-                )
+                t[:, c * pj : (c + 1) * pj] = self.vadd(t[:, (c - 1) * pj : c * pj], xa[:, None])
         t.setflags(write=False)
         return t
 
@@ -255,7 +232,7 @@ class FieldSpec:
 
     @cached_property
     def _neg_table(self):
-        t = np.argmin(self._add_table, axis=1)
+        t = ((self.p - self._digits) % self.p) @ self._place
         t.setflags(write=False)
         return t
 
@@ -307,18 +284,16 @@ class FieldSpec:
         return self._add_table[a, self._mul_table[f[:, None], self._neg_table[row]]]
 
     def vsum(self, arr, axis):
-        """Field sum along an axis (exact reduction of vadd)."""
+        """Field sum along an axis (exact reduction of vadd), the axis as in
+        numpy.  Digit sums are widened to int64, so no length overflows them."""
         if self.p == 2:
             return np.bitwise_xor.reduce(arr, axis=axis)
         if self.m == 1:
             return arr.sum(axis=axis) % self.p
-        out = None
-        pw = 1
-        for _ in range(self.m):
-            digit = ((arr // pw) % self.p).sum(axis=axis) % self.p
-            out = digit * pw if out is None else out + digit * pw
-            pw *= self.p
-        return out
+        digits = self._digits.take(np.moveaxis(arr, axis, 0), axis=0)
+        sums = digits.sum(axis=0, dtype=np.int64)
+        sums %= self.p
+        return sums @ self._place
 
     def vconj(self, a):
         """Entrywise conjugation x -> x^r of GF(r^2), r = p^(m/2)."""

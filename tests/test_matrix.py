@@ -107,8 +107,8 @@ def test_rref_canonical_shape():
 
 def rref_reference(spec, rows):
     """Scalar Gauss-Jordan elimination with the kernel's pivot rule (the first
-    nonzero entry at or below the current row), on the table-free scalar ops;
-    the inverse is the power a^(q-2)."""
+    nonzero entry at or below the current row), on the scalar ops; the inverse
+    is the power a^(q-2), and -x is (p - 1) x."""
     a = [list(row) for row in rows]
     pivots = []
     r = 0
@@ -121,7 +121,7 @@ def rref_reference(spec, rows):
         a[r] = [spec.mul(inv, x) for x in a[r]]
         for j, row in enumerate(a):
             if j != r and row[c]:
-                f = spec.neg(row[c])
+                f = spec.mul(spec.p - 1, row[c])
                 a[j] = [spec.add(x, spec.mul(f, y)) for x, y in zip(row, a[r])]
         pivots.append(c)
         r += 1
