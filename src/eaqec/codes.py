@@ -188,20 +188,27 @@ def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
     Only the messages whose first nonzero coordinate is 1 are visited: every
     nonzero codeword is a nonzero multiple of exactly one of their words, of
     the same weight.  Those with lead row i are G[i] plus each combination of
-    the rows after it.  The combinations of the last t rows are one table,
-    ordered so that its first q^r words span the last r rows, with at most
-    _SPAN_ENTRIES entries; the rows between the lead row and the table are
-    walked one coefficient tuple at a time, each adding one vector v to the
-    whole table.
+    the rows after it.  The combinations of the last t rows are one table of
+    q^t words, built from the multiples of all t rows (one vmul) and ordered
+    so that its first q^r words span the last r rows, with at most
+    _SPAN_ENTRIES entries.  The rows between the lead row and the table are
+    walked one coefficient tuple at a time; each tuple's head vector v is
+    added to the first q^r words, r = min(k - 1 - lead, t).
 
     The table is held column-major, one word per column (n x words), in the
     smallest unsigned dtype that holds the sum of two field elements,
     2(q - 1), which the table's own build adds in prime fields: uint8 up to
     q = 128, then uint16 or uint32.  A word of table + v has weight equal to
-    the number of coordinates where the table differs from -v, so the walk
-    compares and counts down each column (in the smallest unsigned dtype
-    that holds n) and does no field addition.  Memory is a few tables of
-    entries x dtype width, whatever the budget.
+    the number of coordinates where the table differs from -v, so no field
+    addition is done: each (lead row, tuple) writes table != -v into the next
+    q^r columns of one bool buffer of the table's shape.  The buffer is
+    weighed (counts down each column, in the smallest unsigned dtype that
+    holds n, and their minimum) in one reduction each time it fills and once
+    at the end, and a weight of 1 ends the search there.  The slot sizes are
+    powers of q that never grow, so each slot fits whole: a lead row with a
+    head fills the buffer with each tuple, the first lead row without one
+    fills it too, and the rest share one partial fill, weighed at the end.
+    Memory is a few tables of entries x dtype width, whatever the budget.
     """
     import numpy as np
 
@@ -222,14 +229,14 @@ def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
     while t < k - 1 and q ** (t + 1) * n <= _SPAN_ENTRIES:
         t += 1
     span = np.zeros((n, 1), dtype=dtype)
-    scalars = np.arange(q, dtype=np.int64)
-    for row in G[k - t:][::-1]:
-        multiples = spec.vmul(row[:, None], scalars).astype(dtype)
-        span = spec.vadd(multiples[:, :, None], span[:, None, :]).astype(dtype, copy=False)
+    multiples = spec.vmul(G[k - t:, :, None], np.arange(q)).astype(dtype)
+    for row_multiples in multiples[::-1]:
+        span = spec.vadd(row_multiples[:, :, None], span[:, None, :]).astype(dtype, copy=False)
         span = span.reshape(n, -1)
-    best = n + 1
+    differs = np.empty(span.shape, dtype=bool)
+    used, best = 0, n + 1
     for lead in range(k):
-        table = span[:, : q ** min(k - 1 - lead, t)]
+        size = q ** min(k - 1 - lead, t)
         head = G[lead + 1 : k - t]
         for coeffs in product(range(q), repeat=len(head)):
             v = G[lead]
@@ -237,9 +244,15 @@ def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
                 if c:
                     v = spec.vadd(v, spec.vmul(c, row))
             neg_v = spec.vneg(v).astype(dtype)
-            best = min(best, int((table != neg_v[:, None]).sum(axis=0, dtype=weights).min()))
-            if best == 1:
-                return Distance.exact(1)
+            np.not_equal(span[:, :size], neg_v[:, None], out=differs[:, used : used + size])
+            used += size
+            if used == differs.shape[1]:
+                best = min(best, int(differs.sum(axis=0, dtype=weights).min()))
+                if best == 1:
+                    return Distance.exact(1)
+                used = 0
+    if used:
+        best = min(best, int(differs[:, :used].sum(axis=0, dtype=weights).min()))
     return Distance.exact(best)
 
 

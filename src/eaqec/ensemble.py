@@ -16,17 +16,16 @@ blocks lies in the sample code with probability 0 or exactly
   probability times Psi_t; sits between any exhaustive ensemble average
   and phi_upper_bound.
 * ensemble_exhaustive: verifies the per-vector syndrome probabilities as
-  exact rationals at tiny sizes, counting parity columns once per
-  information part; every column and vector is visited, so the q^-r law
-  is observed, not assumed, in arrays of q^k * k and q^r entries.  No RNG.
+  exact rationals at tiny sizes, counting parity columns for a block of
+  information parts at a time; every column and vector is visited, so the
+  q^-r law is observed, not assumed, in arrays of at most
+  max(_CHUNK, q^k * k, q^r) entries.  No RNG.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
-from itertools import product as iproduct
 from typing import TYPE_CHECKING
 
 from ._record import Record
@@ -51,6 +50,7 @@ _FIELDS: dict[int, FieldSpec] = {}
 # nt_w_bruteforce keys and bincounts this many vectors at a time (a power of
 # two): a run of high index parts, each with every low part of the whole
 # blocks that fit here.  Its arrays hold a few times this many bytes.
+# _syndrome_classes takes as many information parts at a time as fit here.
 _CHUNK = 1 << 16
 
 
@@ -411,33 +411,56 @@ class EnsembleReport(Record):
         return "\n".join(lines)
 
 
+def _distinct(a) -> list[int]:
+    """The distinct values of a, ascending: sorted, then each kept where it
+    differs from the one before.  (np.unique hashes from numpy 2.3 on, which
+    takes ~20 times as long on 2^18 equal kill counts.)"""
+    import numpy as np
+
+    s = np.sort(a, axis=None)
+    return s[:1].tolist() + s[1:][s[1:] != s[:-1]].tolist()
+
+
 def _syndrome_classes(experiment: str, field: FieldSpec, n: int, k: int) -> tuple[ClassStat, ...]:
     """Enumerate every P in GF(q)^(k x r) against every nonzero v = (u, s) in GF(q)^n.
 
     H = [-P^T I] kills v when c_j . u = s_j for each column c_j of P, so the
     number of P killing v is the product over j of #{c in GF(q)^k : c . u = s_j},
-    which depends on u alone.  Each information part u, zero part first, is
-    visited once: one bincount counts all q^k columns by c . u, and the r-fold
-    outer product of those counts holds the kill counts of all q^r vectors
-    (u, s); v = 0, entry 0 of the zero part, is dropped.  Every column and
-    vector is still visited, so the q^-r law is observed, not assumed.  Arrays
-    hold at most q^k * k and q^r entries; the caller caps q^n and q^k * q^k * k.
+    which depends on u alone.  The information parts u, zero part first, are
+    taken a block at a time: one vmul and vsum give c . u for every column c
+    and every u of the block, one bincount (each u's values offset by q times
+    its place in the block) counts them, and the r-fold products of each u's
+    counts, broadcast, hold the kill counts of all q^r vectors (u, s).
+    v = 0, entry 0 of the zero part, is dropped, and the distinct counts of
+    the block (_distinct) join the observed set.  Every (u, c) pair and every
+    vector is still visited, so the q^-r law is observed, not assumed.
+
+    A block holds as many parts as fit in _CHUNK entries at q^k * k products
+    and q^r kill counts each, and at least one, so no array exceeds
+    max(_CHUNK, q^k * k, q^r) entries; the caller caps q^n and q^k * q^k * k.
     """
     q, r = field.q, n - k
     import numpy as np
 
-    words = np.array(list(iproduct(range(q), repeat=k)), dtype=np.int64)
+    words = np.indices((q,) * k).reshape(k, -1).T  # every c (and u), in order
     total = len(words) ** r
+    block = max(1, _CHUNK // max(len(words) * k, q**r))
     kills: dict[bool, set[int]] = {True: set(), False: set()}
     sizes = {True: 0, False: 0}
-    for u in words:
-        counts = np.bincount(field.vsum(field.vmul(words, u), axis=1), minlength=q)
-        hits = reduce(np.multiply.outer, [counts] * r, np.ones((), np.int64)).ravel()
-        info_zero = not u.any()
-        if info_zero:
-            hits = hits[1:]
-        sizes[info_zero] += hits.size
-        kills[info_zero].update(hits.tolist())
+    for start in range(0, len(words), block):
+        u = words[start : start + block]
+        dots = field.vsum(field.vmul(words, u[:, None, :]), axis=2)
+        dots += q * np.arange(len(u))[:, None]
+        counts = np.bincount(dots.ravel(), minlength=len(u) * q).reshape(len(u), q)
+        hits = np.ones((len(u), 1), dtype=np.int64)
+        for _ in range(r):
+            hits = (hits[:, :, None] * counts[:, None, :]).reshape(len(u), -1)
+        if not start:  # u = 0 leads the first block
+            zero, hits = hits[0, 1:], hits[1:]
+            sizes[True] += zero.size
+            kills[True].update(_distinct(zero))
+        sizes[False] += hits.size
+        kills[False].update(_distinct(hits))
     freqs = {z: tuple(Fraction(h, total) for h in sorted(kills[z])) for z in kills}
     return tuple(
         ClassStat(experiment, z, sizes[z], freqs[z], e)

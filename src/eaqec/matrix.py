@@ -5,10 +5,11 @@ numpy int64 array.  All kernels (product, reduced row echelon form, rank,
 nullspace) are exact field arithmetic; elimination pivots on the first row
 with a nonzero entry in the current column, so results are deterministic.
 
-Each pivot of rref swaps the pivot row into place, scales it to a leading 1,
-and clears the rest of the pivot column with one whole-matrix rank-1 update
-a - f (x) row (gf.FieldSpec.vsub_outer), where f is the pivot column with its
-own entry zeroed.  Rows whose entry in f is zero are left as they are.
+Each pivot of rref swaps the pivot row into place with plain row copies (no
+fancy indexing), scales it to a leading 1, and clears the rest of the pivot
+column with one whole-matrix rank-1 update a - f (x) row
+(gf.FieldSpec.vsub_outer), where f is the pivot column with its own entry
+zeroed.  Rows whose entry in f is zero are left as they are.
 """
 
 from __future__ import annotations
@@ -108,10 +109,15 @@ class MatrixGF:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         spec, a, b = self.spec, self._a, other._a[None, :, :]
-        # reduce the rows x inner x cols products in row blocks of at most
-        # _MUL_ENTRIES entries; a block has one row or more, so no temporary
-        # exceeds the larger of that cap and the right operand's size
-        step = max(1, _MUL_ENTRIES // max(1, self.cols * other.cols))
+        # reduce the rows x inner x cols products in row blocks.  A row costs
+        # cols x inner entries, or cols x max(inner, m) in an odd extension
+        # field, whose vsum holds m int64 digit sums per output.  A block
+        # holds at most _MUL_ENTRIES of them, or one row, so no temporary (the
+        # products, their uint8 digits, m <= 6, and the digit sums) takes more
+        # bytes than the larger of _MUL_ENTRIES and one row's cost in int64
+        # entries, and the product takes its output plus at most three
+        width = self.cols if spec.p == 2 or spec.m == 1 else max(self.cols, spec.m)
+        step = max(1, _MUL_ENTRIES // max(1, width * other.cols))
         out = np.empty((self.rows, other.cols), dtype=np.int64)
         for i in range(0, self.rows, step):
             out[i : i + step] = spec.vsum(spec.vmul(a[i : i + step, :, None], b), axis=1)
@@ -137,7 +143,9 @@ class MatrixGF:
                 continue
             i = r + int(nz[0])
             if i != r:
-                a[[r, i]] = a[[i, r]]
+                row = a[i].copy()
+                a[i] = a[r]
+                a[r] = row
             pv = int(a[r, c])
             if pv != 1:
                 a[r] = spec.vmul(a[r], spec.inv(pv))

@@ -313,6 +313,19 @@ class TestMinDistance:
                 code = monomial_image(random_code(spec, n, k, rng), rng)
                 assert min_distance(code) == Distance.exact(oracle_distance(code))
 
+    @pytest.mark.parametrize("entries", [codes._SPAN_ENTRIES, 56, 40],
+                             ids=["no-heads", "some-heads", "all-heads"])
+    def test_every_lead_row_is_weighed(self, monkeypatch, entries):
+        # the one weight-2 word is a generator row, put at each place in turn;
+        # every other word has weight 4 or more.  Each lead row's words are
+        # weighed, whether they fill the buffer or share it with later rows
+        monkeypatch.setattr(codes, "_SPAN_ENTRIES", entries)
+        light = [1, 1] + [0] * 12
+        heavy = [[0] * (2 + 4 * i) + [1] * 4 + [0] * (8 - 4 * i) for i in range(3)]
+        for j in range(4):
+            code = ClassicalCode.from_generator(MatrixGF(GF2, heavy[:j] + [light] + heavy[j:]))
+            assert min_distance(code) == Distance.exact(2)
+
     # the table's dtype holds 2(q - 1): uint8 up to q = 128, then uint16 or uint32
     @pytest.mark.parametrize("spec", [FieldSpec(127, 1), FieldSpec(2, 7), FieldSpec(2, 8)],
                              ids=repr)

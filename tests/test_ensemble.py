@@ -505,6 +505,36 @@ class TestExhaustive:
         assert report.classes[2:] == stats
         assert report.outer_matrices == matrices
 
+    @pytest.mark.parametrize(
+        "n,k,m", [(2, 1, 2), (3, 1, 2), (3, 2, 2), (2, 2, 2), (2, 1, 4)],
+        ids=["gf4-2-1", "gf4-3-1", "gf4-3-2", "gf4-r0", "gf16-2-1"],
+    )
+    def test_blocks_of_information_parts_match_whole_matrix_oracle(self, monkeypatch, n, k, m):
+        # one information part per block (_CHUNK = 1), then blocks of 3 with a
+        # shorter last one, give the same classes as one block of all parts
+        spec = FieldSpec(2, m)
+        stats, _ = whole_matrix_classes("outer", spec, n, k)
+        assert ensemble._syndrome_classes("outer", spec, n, k) == stats
+        for chunk in (1, 3 * spec.q**k * k):
+            monkeypatch.setattr(ensemble, "_CHUNK", chunk)
+            assert ensemble._syndrome_classes("outer", spec, n, k) == stats
+
+    @pytest.mark.parametrize("spec", [(1, 1, 6, 6), (2, 2, 4, 3), (1, 1, 10, 5)])
+    def test_memory_is_a_few_blocks(self, spec):
+        # the largest specs the caps admit: q^k * k = 24,576 or 12,288
+        # products a part with q^r = 1 or 16, and 4^5 * 5 with q^r = 4^5;
+        # blocks of at most _CHUNK entries keep each array under 0.5 MiB
+        ensemble_exhaustive(1, 1, 2, 1)  # GF(4) and its tables built
+        ensemble_exhaustive(2, 2, 2, 1)  # GF(16)
+        tracemalloc.start()
+        try:
+            report = ensemble_exhaustive(*spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_passed
+        assert peak <= 2 << 20
+
     @pytest.mark.parametrize("args", [(2, 1, 2, 1), (3, 2, 2, 1)])
     def test_identities_hold(self, args):
         report = ensemble_exhaustive(*args)
@@ -586,7 +616,7 @@ class TestExhaustive:
             # experiment, 2^(4*kbar1*k2) * k2 <= 2^27: 4^14 * 7 ~ 1.9e9 ran for 21 s
             ((1, 1, 7, 7), False),
             ((2, 2, 4, 4), False),
-            # the largest specs at the column cap, 1.0e8 and 5.0e7 products, about 1 s each
+            # the largest specs at the column cap, 1.0e8 and 5.0e7 products, about 0.5 and 0.3 s
             ((1, 1, 6, 6), True),
             ((2, 2, 4, 3), True),
             # the q_outer^n2 = 2^(2*kbar1*n2) test vectors, at and above their 2^20 cap

@@ -437,18 +437,24 @@ def test_tables_match_scalar_reference(spec):
 
 
 def test_tables_match_scalar_reference_above_builtins():
-    # sampled rows of GF(2^10) under a user modulus, x^10 + x^3 + 1
-    spec = FieldSpec(2, 10, modulus=(1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))
-    rows = [0, 1, 2, 3, 512, 1023] + random.Random(10).sample(range(4, 1023), 18)
-    mul, add, _ = schoolbook(2, 10, spec.modulus, rows)
-    assert np.array_equal(spec._mul_table[rows], mul)
-    assert np.array_equal(spec._add_table[rows], add)
-    inv = spec._inv_table
-    assert all(spec._mul_table[a, inv[a]] == 1 for a in rows if a)
-    want = rows
-    for _ in range(5):  # a -> a^2 five times: a^32, the conjugate
-        want = [schoolbook(2, 10, spec.modulus, [a])[0][0, a] for a in want]
-    assert spec._conj_table[rows].tolist() == want
+    # sampled rows of the CAP_SPECS fields, under user moduli: GF(3^6) and
+    # GF(2^10) (x^10 + x^3 + 1)
+    for spec in CAP_SPECS:
+        p, m, q = spec.p, spec.m, spec.q
+        rows = [0, 1, 2, p, q // p, q - 1] + random.Random(q).sample(range(3, q - 1), 18)
+        mul, add, neg = schoolbook(p, m, spec.modulus, rows)
+        assert np.array_equal(spec._mul_table[rows], mul)
+        assert np.array_equal(spec._add_table[rows], add)
+        assert np.array_equal(spec._neg_table[rows], neg)
+        inv = spec._inv_table
+        assert all(spec._mul_table[a, inv[a]] == 1 for a in rows if a)
+        want = rows
+        for _ in range(m // 2):  # a -> a^p m/2 times: a^r, r = p^(m/2), the conjugate
+            powers = want
+            for _ in range(p - 1):
+                powers = [schoolbook(p, m, spec.modulus, [x])[0][0, a] for x, a in zip(powers, want)]
+            want = powers
+        assert spec._conj_table[rows].tolist() == want
 
 
 def test_vmul_broadcasting():

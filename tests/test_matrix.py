@@ -132,10 +132,15 @@ def rref_reference(spec, rows):
 
 def _oracle_cases(spec, rng):
     """Uniform and rank-deficient (product) matrices up to 16 x 30, some with
-    zero columns, plus the 1 x n, n x 1 and all-zero edges."""
+    zero columns, plus the 1 x n, n x 1 and all-zero edges, and a permuted
+    identity whose every pivot but the last needs a row swap."""
     q = spec.q
+    # row i holds its nonzero at column i + 1 (mod 9): each pivot c < 8
+    # finds its entry in the last row and swaps it up, then 3 random columns
+    shifted = np.roll(np.diag(rng.integers(1, q, 9)), 1, axis=1)
     cases = [rng.integers(0, q, (1, 30)), rng.integers(0, q, (16, 1)),
-             rng.integers(0, q, (16, 30)), np.zeros((3, 5), dtype=np.int64)]
+             rng.integers(0, q, (16, 30)), np.zeros((3, 5), dtype=np.int64),
+             np.hstack([shifted, rng.integers(0, q, (9, 3))])]
     for t in range(12):
         rows, cols = int(rng.integers(1, 17)), int(rng.integers(1, 31))
         if t % 2:
@@ -257,6 +262,27 @@ def test_matmul_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+    assert np.array_equal(got.array(), whole)
+
+
+@pytest.mark.parametrize("inner", [1, 3])
+def test_matmul_memory_counts_digit_sums(inner):
+    # in GF(3^6), vsum holds 6 int64 digit sums per output: with fewer than 6
+    # products per output the blocks must count the sums, or they outgrow
+    # _MUL_ENTRIES entries.  The product takes its output and at most three
+    # temporaries (products, their digits, digit sums) of that size
+    spec = FieldSpec(3, 6, modulus=(2, 2, 1, 0, 2, 0, 1))
+    rng = np.random.default_rng(inner)
+    a = MatrixGF(spec, rng.integers(0, spec.q, (1024, inner)))
+    b = MatrixGF(spec, rng.integers(0, spec.q, (inner, 1024)))
+    whole = _unblocked_product(a, b)
+    tracemalloc.start()
+    try:
+        got = a @ b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= whole.nbytes + 3 * 8 * matrix._MUL_ENTRIES
     assert np.array_equal(got.array(), whole)
 
 
