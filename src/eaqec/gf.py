@@ -34,9 +34,9 @@ and the fold is the only place the modulus enters; additions while building
 go through vadd.  Sums of base-p digits go place by place: vsum of an odd
 extension field gathers the digits of its terms from one cached digit table
 and sums them mod p, the negation table negates each digit mod p, and the
-addition table of an odd field is built one digit place at a time, a
-broadcast sum of the one-digit table and the table of the places below it
-(XOR in characteristic 2).  The inverse and conjugation tables are read off
+addition table is built one digit place at a time, a broadcast sum of the
+one-digit table and the table of the places below it (in characteristic 2
+that is XOR, which vadd computes without the table).  The inverse and conjugation tables are read off
 the product table.  vsub is vadd of vneg.
 vsub_outer is the fused rank-1 update a - f (x) row that elimination
 applies at each pivot, in place where the field allows.  vconj is the
@@ -228,18 +228,15 @@ class FieldSpec:
 
     @cached_property
     def _add_table(self):
-        """a + b at [a, b]: XOR in characteristic 2.  Otherwise built one digit
-        place at a time: with a = a_j p^j + a_low, b likewise, a + b is
-        (a_j + b_j mod p) p^j + (a_low + b_low), one broadcast sum of the
-        one-digit table and the table of the places below j."""
-        p, q = self.p, self.q
-        if p == 2:
-            t = np.bitwise_xor.outer(np.arange(q), np.arange(q))
-        else:
-            digit = np.add.outer(np.arange(p), np.arange(p)) % p
-            t = digit
-            for j in range(1, self.m):
-                t = (digit[:, None, :, None] * p**j + t[None, :, None, :]).reshape(p ** (j + 1), -1)
+        """a + b at [a, b], built one digit place at a time: with
+        a = a_j p^j + a_low, b likewise, a + b is (a_j + b_j mod p) p^j +
+        (a_low + b_low), one broadcast sum of the one-digit table and the
+        table of the places below j (XOR in characteristic 2)."""
+        p = self.p
+        digit = np.add.outer(np.arange(p), np.arange(p)) % p
+        t = digit
+        for j in range(1, self.m):
+            t = (digit[:, None, :, None] * p**j + t[None, :, None, :]).reshape(p ** (j + 1), -1)
         t.setflags(write=False)
         return t
 

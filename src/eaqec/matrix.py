@@ -110,13 +110,13 @@ class MatrixGF:
             )
         spec, a, b = self.spec, self._a, other._a[None, :, :]
         # reduce the rows x inner x cols products in row blocks.  A row costs
-        # cols x inner entries, or cols x max(inner, m) in an odd extension
-        # field, whose vsum holds m int64 digit sums per output.  A block
-        # holds at most _MUL_ENTRIES of them, or one row, so no temporary (the
-        # products, their uint8 digits, m <= 6, and the digit sums) takes more
-        # bytes than the larger of _MUL_ENTRIES and one row's cost in int64
-        # entries, and the product takes its output plus at most three
-        width = self.cols if spec.p == 2 or spec.m == 1 else max(self.cols, spec.m)
+        # cols x max(inner, m) entries: its products, or the m digit sums per
+        # output that vsum may hold.  A block holds at most _MUL_ENTRIES of
+        # them, or one row, so no temporary (the products, their uint8 digits,
+        # m <= 6, and the digit sums) takes more bytes than the larger of
+        # _MUL_ENTRIES and one row's cost in int64 entries, and the product
+        # takes its output plus at most three
+        width = max(self.cols, spec.m)
         step = max(1, _MUL_ENTRIES // max(1, width * other.cols))
         out = np.empty((self.rows, other.cols), dtype=np.int64)
         for i in range(0, self.rows, step):

@@ -515,7 +515,7 @@ class TestExhaustive:
         spec = FieldSpec(2, m)
         stats, _ = whole_matrix_classes("outer", spec, n, k)
         assert ensemble._syndrome_classes("outer", spec, n, k) == stats
-        for chunk in (1, 3 * spec.q**k * k):
+        for chunk in (1, 3 * max(spec.q**k * k, spec.q ** (n - k))):
             monkeypatch.setattr(ensemble, "_CHUNK", chunk)
             assert ensemble._syndrome_classes("outer", spec, n, k) == stats
 
