@@ -25,7 +25,15 @@ from .primes import MAX_FIELD_SIZE, is_prime, prime_power
 LOG4_3 = math.log(3) / math.log(4)
 
 
+def check_integers(**values) -> None:
+    """Refuse a value that is not an int, or is a bool (True would pass as 1)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _checked_q(p: int, m: int) -> int:
+    check_integers(p=p, m=m)
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if m < 1:
@@ -80,6 +88,7 @@ def genus2_points(p: int, m: int) -> int:
 
 def weil_bound(q: int, g: int) -> int:
     """Weil upper bound q + 1 + g*floor(2*sqrt(q)) on rational-point counts."""
+    check_integers(q=q, g=g)
     if q < 2 or g < 0:
         raise DomainError("need q >= 2 and genus >= 0")
     return q + 1 + g * isqrt(4 * q)

@@ -1,9 +1,9 @@
 """Classical linear codes [n, k, d] over GF(q) with explicit distance status.
 
-A code carries both a full-rank generator G (k x n) and a full-rank parity
-check H ((n-k) x n) with G @ H.T == 0.  The minimum distance is tracked as a
-three-state value: exactly known, a design lower bound, or unknown; nothing
-ever silently promotes a bound to an exact value.
+A code is built from one matrix, by from_generator or from_parity_check; its
+nullspace gives the other, so a code carries a full-rank generator G (k x n)
+and parity check H ((n-k) x n) with G @ H.T == 0.  Its minimum distance is
+exact, a design lower bound, or unknown; a bound is never promoted to exact.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from ._record import Record
-from .errors import DEFAULT_BUDGET, BudgetInvalid, DistanceUnknown, FieldMismatch
+from .errors import DEFAULT_BUDGET, BudgetInvalid, DistanceUnknown
 
 if TYPE_CHECKING:
     from .gf import FieldSpec
@@ -33,22 +33,21 @@ class Distance(Record):
     kind: str
     value: int | None = None
 
-    def __init__(self, kind: str, value: int | None = None):
-        # spelled out: Record's general constructor takes about twice as long
-        fields = self.__dict__
-        fields["kind"] = kind
-        fields["value"] = value
+    def __post_init__(self):
+        if self.kind == "unknown":
+            if self.value is not None:
+                raise ValueError(f"an unknown distance has no value, got {self.value!r}")
+        elif self.kind not in ("exact", "bound"):
+            raise ValueError(f"distance kind must be exact, bound or unknown, got {self.kind!r}")
+        elif isinstance(self.value, bool) or not isinstance(self.value, int) or self.value < 1:
+            raise ValueError(f"distance must be an integer >= 1, got {self.value!r}")
 
     @classmethod
     def exact(cls, d: int) -> "Distance":
-        if d < 1:
-            raise ValueError(f"distance must be >= 1, got {d}")
         return cls("exact", d)
 
     @classmethod
     def lower_bound(cls, d: int) -> "Distance":
-        if d < 1:
-            raise ValueError(f"distance bound must be >= 1, got {d}")
         return cls("bound", d)
 
     @staticmethod
@@ -90,28 +89,8 @@ _UNKNOWN = Distance("unknown")
 class ClassicalCode:
     __slots__ = ("spec", "n", "k", "G", "H", "distance")
 
-    def __init__(self, G: MatrixGF, H: MatrixGF):
-        if G.spec != H.spec:
-            raise FieldMismatch(f"G over {G.spec!r}, H over {H.spec!r}")
-        if G.cols != H.cols:
-            raise ValueError("generator and parity check disagree on length")
-        n = G.cols
-        k = G.rows
-        if H.rows != n - k:
-            raise ValueError(f"parity check must have {n - k} rows, has {H.rows}")
-        if G.rank() != k:
-            raise ValueError("generator is not full rank")
-        if H.rows and H.rank() != H.rows:
-            raise ValueError("parity check is not full rank")
-        prod = G.mul(H.transpose())
-        if prod.rows and prod.cols and prod.array().any():
-            raise ValueError("G @ H.T != 0")
-        self.spec = G.spec
-        self.n = n
-        self.k = k
-        self.G = G
-        self.H = H
-        self.distance = Distance.unknown()
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a ClassicalCode by from_generator(G) or from_parity_check(H)")
 
     @classmethod
     def _trusted(cls, G: MatrixGF, H: MatrixGF, distance: Distance) -> "ClassicalCode":

@@ -65,6 +65,10 @@ class EaqeccParams(Record, uncompared=("provenance",)):
     provenance: Provenance | None = None
 
     def __post_init__(self):
+        for name in ("q", "n", "k", "c"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if prime_power(self.q) is None:
             raise ValueError(f"alphabet size {self.q} is not a prime power")
         if self.n < 1:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from ._record import Record
-from .bounds import entropy_q4
+from .bounds import check_integers, entropy_q4
 from .errors import DomainError, ParseError, TooLarge
 
 if TYPE_CHECKING:
@@ -79,13 +79,6 @@ class WeightPolynomial(Record):
         return acc
 
 
-def _check_sizes(**sizes) -> None:
-    """Refuse a size that is not an int, or is a bool (True would pass as 1)."""
-    for name, value in sizes.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
 def psi_t(n1: int, n2: int, t: int) -> WeightPolynomial:
     """Psi_t(x) = C(n2, t) * [(1+3x)^n1 - 1]^t, exact coefficients.
 
@@ -94,7 +87,7 @@ def psi_t(n1: int, n2: int, t: int) -> WeightPolynomial:
     sum_j C(t, j) (-1)^(t-j) (1+3x)^(n1*j), by an exact integer recurrence on
     C(n1*j, w) * 3^w: sum_j (n1*j + 1) steps, capped at _MAX_PSI_WORK.
     """
-    _check_sizes(n1=n1, n2=n2, t=t)
+    check_integers(n1=n1, n2=n2, t=t)
     if n1 < 1 or n2 < 1:
         raise DomainError("need n1 >= 1 and n2 >= 1")
     if not 0 <= t <= n2:
@@ -127,13 +120,12 @@ def _block_keys(x, n1: int, blocks: int, width: int, marks) -> np.ndarray:
     exactly when the block has a mark, and the sum stays below 2^(2*n1), so no
     carry reaches the next block: t is the popcount of the top bits of
     marks + fill.  That is three array ops for any block count (Warren,
-    Hacker's Delight, 2nd ed., section 6-1).  marks, of x's length, is
-    scratch; x is left as it was.
+    Hacker's Delight, 2nd ed., section 6-1).  With no blocks, x holds only
+    the empty index 0 and ones, fill and guards are 0, so its key is 0.
+    marks, of x's length, is scratch; x is left as it was.
     """
     import numpy as np
 
-    if not blocks:  # the formula gives key 0 here too; this skips its ops, ~10 us a call
-        return np.zeros(x.size, dtype=np.uint8)
     span = 2 * n1
     ones = ((1 << span * blocks) - 1) // ((1 << span) - 1)  # bit 0 of each block
     fill, guards = ((1 << span - 1) - 1) * ones, ones << span - 1
@@ -178,7 +170,7 @@ def nt_w_bruteforce(n1: int, n2: int) -> np.ndarray:
     indices and scratch, and bincount's own intp copy of a chunk (8 bytes a
     key, the largest).
     """
-    _check_sizes(n1=n1, n2=n2)
+    check_integers(n1=n1, n2=n2)
     if n1 < 1 or n2 < 1:
         raise DomainError("need n1 >= 1 and n2 >= 1")
     ne = n1 * n2
@@ -220,14 +212,14 @@ class EnsembleSpec(Record):
     c2: int | None = None
 
     def __post_init__(self):
-        _check_sizes(n1=self.n1, k1=self.k1, n2=self.n2, k2=self.k2)
+        check_integers(n1=self.n1, k1=self.k1, n2=self.n2, k2=self.k2)
         if not (1 <= self.k1 <= self.n1 and 1 <= self.k2 <= self.n2):
             raise DomainError("need 1 <= k <= n for both components")
         if self.c1 is None:
             object.__setattr__(self, "c1", self.n1 - self.k1)
         if self.c2 is None:
             object.__setattr__(self, "c2", self.n2 - self.k2)
-        _check_sizes(c1=self.c1, c2=self.c2)
+        check_integers(c1=self.c1, c2=self.c2)
         if not 0 <= self.c1 <= self.n1 - self.k1:
             raise DomainError(f"c1 must lie in [0, {self.n1 - self.k1}]")
         if not 0 <= self.c2 <= self.n2 - self.k2:

@@ -299,7 +299,9 @@ class FieldSpec:
         if self.p == 2:
             return np.bitwise_xor.reduce(arr, axis=axis)
         if self.m == 1:
-            return arr.sum(axis=axis) % self.p
+            sums = arr.sum(axis=axis)
+            sums %= self.p
+            return sums
         digits = self._digits.take(np.moveaxis(arr, axis, 0), axis=0)
         sums = digits.sum(axis=0, dtype=np.int64)
         sums %= self.p

@@ -86,6 +86,22 @@ class TestIntegerBounds:
         with pytest.raises(DomainError):
             weil_bound(4, -1)
 
+    @pytest.mark.parametrize("call", [
+        lambda: amds_length_bound(2.0, 4),
+        lambda: amds_length_bound(2, 4.0),
+        lambda: genus2_points(2, True),
+        lambda: genus2_points(True, 1),
+        lambda: eaq_length_bounds(3, 1.0),
+        lambda: weil_bound(16.0, 1),
+        lambda: weil_bound(16, 1.5),
+        lambda: weil_bound(16, False),
+    ], ids=["amds-p", "amds-m", "genus2-m", "genus2-p", "eaq-m", "weil-q", "weil-g",
+            "weil-g-bool"])
+    def test_non_integer_arguments_rejected(self, call):
+        # a bool would pass as 0 or 1 and a float would reach isqrt
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+
     def test_genus2_never_exceeds_weil(self):
         for q in range(2, 1 << 12):
             pm = prime_power(q)

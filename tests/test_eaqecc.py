@@ -75,6 +75,16 @@ class TestParams:
             EaqeccParams(q=2, n=3, k=1, d=d, c=-1)
         with pytest.raises(DistanceUnknown):
             EaqeccParams(q=2, n=3, k=1, d=Distance.unknown(), c=0)
+        # integer fields are refused as non-integers before any range check:
+        # True would pass as 1, 2.5 would render, 4.0 would reach prime_power
+        for name, fields in (("n", dict(q=2, n=True, k=0, d=Distance.exact(1), c=0)),
+                             ("k", dict(q=2, n=4, k=2.5, d=d, c=0)),
+                             ("q", dict(q=4.0, n=3, k=1, d=d, c=0)),
+                             ("q", dict(q=True, n=3, k=1, d=d, c=0)),
+                             ("c", dict(q=2, n=3, k=1, d=d, c=False)),
+                             ("c", dict(q=2, n=3, k=1, d=d, c="0"))):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                EaqeccParams(**fields)
 
     def test_dimension_above_length_rejected(self):
         with pytest.raises(ValueError, match="exceeds the length"):

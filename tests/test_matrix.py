@@ -266,12 +266,18 @@ def test_matmul_memory_is_bounded():
 
 
 @pytest.mark.parametrize("inner", [1, 3])
-def test_matmul_memory_counts_digit_sums(inner):
-    # in GF(3^6), vsum holds 6 int64 digit sums per output: with fewer than 6
-    # products per output the blocks must count the sums, or they outgrow
-    # _MUL_ENTRIES entries.  The product takes its output and at most three
-    # temporaries (products, their digits, digit sums) of that size
-    spec = FieldSpec(3, 6, modulus=(2, 2, 1, 0, 2, 0, 1))
+@pytest.mark.parametrize("spec", [
+    GF3,
+    FieldSpec(3, 6, modulus=(2, 2, 1, 0, 2, 0, 1)),
+    FieldSpec(2, 10, modulus=(1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
+], ids=lambda s: f"q{s.p}^{s.m}")
+def test_matmul_memory_holds_three_temporaries(spec, inner):
+    # the product takes its output and at most three temporaries of
+    # _MUL_ENTRIES entries: the products, then their XOR (characteristic 2),
+    # their sums reduced in place (prime fields), or their uint8 digits and
+    # the int64 digit sums (odd extensions).  GF(3^6) holds 6 digit sums per
+    # output: with fewer than 6 products per output the blocks must count
+    # the sums, or they outgrow _MUL_ENTRIES entries
     rng = np.random.default_rng(inner)
     a = MatrixGF(spec, rng.integers(0, spec.q, (1024, inner)))
     b = MatrixGF(spec, rng.integers(0, spec.q, (inner, 1024)))
