@@ -19,25 +19,16 @@ import math
 from math import isqrt
 
 from ._record import Record
-from .errors import BadFamilyParams, DomainError, FieldTooLarge, NoRoot, NotSquare
+from .errors import BadFamilyParams, DomainError, FieldTooLarge, NoRoot, NotSquare, integer
 from .primes import MAX_FIELD_SIZE, is_prime, prime_power
 
 LOG4_3 = math.log(3) / math.log(4)
 
 
-def check_integers(**values) -> None:
-    """Refuse a value that is not an int, or is a bool (True would pass as 1)."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
 def _checked_q(p: int, m: int) -> int:
-    check_integers(p=p, m=m)
+    p, m = integer(p, "p", DomainError), integer(m, "m", DomainError, low=1)
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    if m < 1:
-        raise DomainError(f"degree must be >= 1, got {m}")
     q = p**m
     if q > MAX_FIELD_SIZE:
         raise FieldTooLarge(f"q = {p}^{m} exceeds {MAX_FIELD_SIZE}")
@@ -88,7 +79,7 @@ def genus2_points(p: int, m: int) -> int:
 
 def weil_bound(q: int, g: int) -> int:
     """Weil upper bound q + 1 + g*floor(2*sqrt(q)) on rational-point counts."""
-    check_integers(q=q, g=g)
+    q, g = integer(q, "q", DomainError), integer(g, "g", DomainError)
     if q < 2 or g < 0:
         raise DomainError("need q >= 2 and genus >= 0")
     return q + 1 + g * isqrt(4 * q)
@@ -178,9 +169,7 @@ FAMILY_NAMES = (*_ROWS, "GV")
 
 def _checked_m(params: dict, parity: int, min_m: int) -> int:
     """m of the given parity (0 even, 1 odd) in (min_m, MAX_M]."""
-    m = params.get("m")
-    if not isinstance(m, int):
-        raise BadFamilyParams("family needs an integer parameter m")
+    m = integer(params.get("m"), "family parameter m", BadFamilyParams)
     if m <= min_m or m % 2 != parity:
         word = ("even", "odd")[parity]
         raise BadFamilyParams(f"need {word} m > {min_m}, got {m}")

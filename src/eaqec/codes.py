@@ -13,7 +13,7 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from ._record import Record
-from .errors import DEFAULT_BUDGET, BudgetInvalid, DistanceUnknown
+from .errors import DEFAULT_BUDGET, BudgetInvalid, DistanceUnknown, integer
 
 if TYPE_CHECKING:
     from .gf import FieldSpec
@@ -39,8 +39,8 @@ class Distance(Record):
                 raise ValueError(f"an unknown distance has no value, got {self.value!r}")
         elif self.kind not in ("exact", "bound"):
             raise ValueError(f"distance kind must be exact, bound or unknown, got {self.kind!r}")
-        elif isinstance(self.value, bool) or not isinstance(self.value, int) or self.value < 1:
-            raise ValueError(f"distance must be an integer >= 1, got {self.value!r}")
+        else:
+            self.__dict__["value"] = integer(self.value, "distance", low=1)
 
     @classmethod
     def exact(cls, d: int) -> "Distance":
@@ -191,11 +191,9 @@ def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
     """
     import numpy as np
 
-    if (isinstance(budget, bool) or not isinstance(budget, int)
-            or not 1 <= budget <= DEFAULT_BUDGET):
-        raise BudgetInvalid(
-            f"budget must be an integer in [1, {DEFAULT_BUDGET}], got {budget!r}"
-        )
+    budget = integer(budget, "budget", BudgetInvalid, low=1)
+    if budget > DEFAULT_BUDGET:
+        raise BudgetInvalid(f"budget must be at most {DEFAULT_BUDGET}, got {budget}")
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codeword")
     if code.spec.q ** code.k > budget:
@@ -272,6 +270,7 @@ def random_code(spec: FieldSpec, n: int, k: int, rng: random.Random) -> Classica
     """A uniformly sampled [n, k] code (full-rank random generator)."""
     from .matrix import MatrixGF
 
+    n, k = integer(n, "n"), integer(k, "k")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if k == 0:

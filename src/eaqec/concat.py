@@ -46,6 +46,7 @@ from .errors import (
     ParseError,
     ProvenanceMismatch,
     TooManyBlocks,
+    integer,
 )
 
 TABLE_IDS = ("I", "II", "III", "IV")
@@ -74,8 +75,7 @@ def concatenate(inner: EaqeccParams, outer: EaqeccParams) -> EaqeccParams:
 
 def extend(code: EaqeccParams, t: int) -> EaqeccParams:
     """Lengthen by t positions: [[n+t, k, >=d; c]]; net transmission unchanged."""
-    if isinstance(t, bool) or not isinstance(t, int) or t < 0:
-        raise ValueError(f"extension amount must be a non-negative integer, got {t!r}")
+    t = integer(t, "extension amount", low=0)
     if t == 0:
         return code
     return EaqeccParams(
@@ -105,8 +105,7 @@ def expurgate(code: EaqeccParams, t: int) -> EaqeccParams:
         raise ProvenanceMismatch(
             f"expurgation needs inner [[4,2,2;0]]_2, found {inner.render()}"
         )
-    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
-        raise ValueError(f"expurgation amount must be a positive integer, got {t!r}")
+    t = integer(t, "expurgation amount", low=1)
     if t > outer.n:
         raise TooManyBlocks(f"cannot replace {t} of {outer.n} inner blocks")
     return EaqeccParams(

@@ -34,6 +34,7 @@ from .errors import (
     FieldMismatch,
     LengthMismatch,
     ParseError,
+    integer,
 )
 from .primes import prime_power
 
@@ -65,10 +66,9 @@ class EaqeccParams(Record, uncompared=("provenance",)):
     provenance: Provenance | None = None
 
     def __post_init__(self):
+        values = self.__dict__
         for name in ("q", "n", "k", "c"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            values[name] = integer(values[name], name)
         if prime_power(self.q) is None:
             raise ValueError(f"alphabet size {self.q} is not a prime power")
         if self.n < 1:
@@ -79,6 +79,8 @@ class EaqeccParams(Record, uncompared=("provenance",)):
             raise ValueError(f"dimension {self.k} exceeds the length {self.n}")
         if self.c < 0:
             raise ValueError(f"entanglement count must be >= 0, got {self.c}")
+        if not isinstance(self.d, Distance):
+            raise ValueError(f"d must be a Distance, got {self.d!r}")
         if not self.d.is_known:
             raise DistanceUnknown("EaqeccParams needs an exact distance or a bound")
         if self.d.value > self.n:

@@ -29,8 +29,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from ._record import Record
-from .bounds import check_integers, entropy_q4
-from .errors import DomainError, ParseError, TooLarge
+from .bounds import entropy_q4
+from .errors import DomainError, ParseError, TooLarge, integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,9 +87,8 @@ def psi_t(n1: int, n2: int, t: int) -> WeightPolynomial:
     sum_j C(t, j) (-1)^(t-j) (1+3x)^(n1*j), by an exact integer recurrence on
     C(n1*j, w) * 3^w: sum_j (n1*j + 1) steps, capped at _MAX_PSI_WORK.
     """
-    check_integers(n1=n1, n2=n2, t=t)
-    if n1 < 1 or n2 < 1:
-        raise DomainError("need n1 >= 1 and n2 >= 1")
+    n1, n2 = integer(n1, "n1", DomainError, low=1), integer(n2, "n2", DomainError, low=1)
+    t = integer(t, "t", DomainError)
     if not 0 <= t <= n2:
         raise DomainError(f"block count t must lie in [0, {n2}], got {t}")
     if n1 * n2 > _MAX_COEFFS:
@@ -170,9 +169,7 @@ def nt_w_bruteforce(n1: int, n2: int) -> np.ndarray:
     indices and scratch, and bincount's own intp copy of a chunk (8 bytes a
     key, the largest).
     """
-    check_integers(n1=n1, n2=n2)
-    if n1 < 1 or n2 < 1:
-        raise DomainError("need n1 >= 1 and n2 >= 1")
+    n1, n2 = integer(n1, "n1", DomainError, low=1), integer(n2, "n2", DomainError, low=1)
     ne = n1 * n2
     if 2 * ne > _MAX_ENSEMBLE_BITS:
         raise TooLarge(f"4^{ne} vectors exceed the enumeration cap")
@@ -212,14 +209,14 @@ class EnsembleSpec(Record):
     c2: int | None = None
 
     def __post_init__(self):
-        check_integers(n1=self.n1, k1=self.k1, n2=self.n2, k2=self.k2)
+        values = self.__dict__
+        for name in ("n1", "k1", "n2", "k2"):
+            values[name] = integer(values[name], name, DomainError)
         if not (1 <= self.k1 <= self.n1 and 1 <= self.k2 <= self.n2):
             raise DomainError("need 1 <= k <= n for both components")
-        if self.c1 is None:
-            object.__setattr__(self, "c1", self.n1 - self.k1)
-        if self.c2 is None:
-            object.__setattr__(self, "c2", self.n2 - self.k2)
-        check_integers(c1=self.c1, c2=self.c2)
+        for name, maximal in (("c1", self.r1), ("c2", self.r2)):
+            c = values.get(name)
+            values[name] = maximal if c is None else integer(c, name, DomainError)
         if not 0 <= self.c1 <= self.n1 - self.k1:
             raise DomainError(f"c1 must lie in [0, {self.n1 - self.k1}]")
         if not 0 <= self.c2 <= self.n2 - self.k2:

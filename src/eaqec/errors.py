@@ -1,8 +1,28 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer rule.
 
 Every error raised by the library proper derives from EaqecError, so callers
 (and the command line driver) can distinguish domain failures from bugs.
+
+The integer arguments that describe a field, a code, a bound or an ensemble
+go through integer(): an int or a numpy integer is accepted and returned as
+a plain int, and a bool (True would pass as 1), a float, a str or a numpy
+bool is refused with the exception type the caller names.
 """
+
+from operator import index
+
+
+def integer(value, name: str, error=ValueError, low=None) -> int:
+    """value as a plain int; error(...) if it is a bool, anything
+    operator.index refuses, or (when low is given) below low."""
+    try:
+        n = None if isinstance(value, bool) else index(value)
+    except TypeError:
+        n = None
+    if n is not None and (low is None or n >= low):
+        return n
+    at_least = "" if low is None else f" >= {low}"
+    raise error(f"{name} must be an integer{at_least}, got {value!r}")
 
 
 class EaqecError(Exception):

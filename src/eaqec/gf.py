@@ -46,7 +46,6 @@ the Hermitian form uses; odd degrees raise FieldMismatch.
 
 from __future__ import annotations
 
-import operator
 from functools import cached_property
 
 import numpy as np
@@ -58,6 +57,7 @@ from .errors import (
     NoBuiltinModulus,
     NotIrreducible,
     NotPrime,
+    integer,
 )
 from .primes import MAX_FIELD_SIZE, is_prime, prime_power
 
@@ -82,21 +82,13 @@ _BUILTIN_MODULI = {
 }
 
 
-def _integer(c) -> int:
-    """c as a plain int; a bool, or anything operator.index refuses, raises TypeError."""
-    if isinstance(c, bool):
-        raise TypeError(c)
-    return operator.index(c)
-
-
 class FieldSpec:
     """Immutable description of GF(p^m) with concrete arithmetic."""
 
     def __init__(self, p: int, m: int = 1, modulus=None):
-        if not isinstance(p, int) or not is_prime(p):
-            raise NotPrime(f"p must be prime, got {p!r}")
-        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-            raise NotIrreducible(f"extension degree must be a positive integer, got {m!r}")
+        p, m = integer(p, "p", NotPrime), integer(m, "extension degree", NotIrreducible, low=1)
+        if not is_prime(p):
+            raise NotPrime(f"p must be prime, got {p}")
         q = p ** m
         if q > MAX_FIELD_SIZE:
             raise FieldTooLarge(f"p^m = {q} exceeds the cap {MAX_FIELD_SIZE}")
@@ -116,7 +108,7 @@ class FieldSpec:
                         f"no built-in modulus for GF({p}^{m}); pass one explicitly"
                     ) from None
         try:
-            modulus = tuple(_integer(c) for c in modulus)
+            modulus = tuple(integer(c, "coefficient", TypeError) for c in modulus)
         except TypeError:
             raise NotIrreducible(f"modulus coefficients must be integers, got {modulus!r}") from None
         if len(modulus) != m + 1 or modulus[-1] != 1:
@@ -314,6 +306,7 @@ class FieldSpec:
 
 def field_of_order(q: int, modulus=None) -> FieldSpec:
     """Construct GF(q) from the field size, factoring q = p^m."""
+    q = integer(q, "q", NotPrime)
     if q > MAX_FIELD_SIZE:
         raise FieldTooLarge(f"q = {q} exceeds the cap {MAX_FIELD_SIZE}")
     pm = prime_power(q)

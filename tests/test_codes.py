@@ -512,6 +512,12 @@ class TestRandomCode:
         with pytest.raises(ValueError):
             random_code(GF2, 3, -1, random.Random(0))
 
+    def test_non_integer_sizes(self):
+        # k = True sampled a [4, 1] code; k = 2.0 died in range with a bare TypeError
+        for n, k in ((4, True), (4, 2.0), (4.0, 2)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                random_code(GF2, n, k, random.Random(0))
+
     def test_full_code(self):
         code = random_code(GF2, 4, 4, random.Random(3))
         assert len(span(code)) == 16

@@ -85,6 +85,9 @@ class TestParams:
                              ("c", dict(q=2, n=3, k=1, d=d, c="0"))):
             with pytest.raises(ValueError, match=f"^{name} must be an integer"):
                 EaqeccParams(**fields)
+        # a bare int for d raised AttributeError from d.is_known
+        with pytest.raises(ValueError, match="^d must be a Distance, got 3$"):
+            EaqeccParams(q=2, n=3, k=1, d=3, c=0)
 
     def test_dimension_above_length_rejected(self):
         with pytest.raises(ValueError, match="exceeds the length"):

@@ -266,6 +266,15 @@ def test_field_of_order():
         field_of_order(6)
 
 
+def test_field_of_order_takes_integers_only():
+    # 4.0 and np.int64(4) ended in a bare AttributeError from bit_length,
+    # and "4" in a bare TypeError
+    assert field_of_order(np.int64(4)) == FieldSpec(2, 2)
+    for q in (4.0, "4"):
+        with pytest.raises(NotPrime, match="q must be an integer"):
+            field_of_order(q)
+
+
 def test_field_of_order_checks_the_cap_before_factoring(monkeypatch):
     # factoring a huge q by trial division takes sqrt(q) steps; the cap
     # must refuse it first

@@ -120,6 +120,28 @@ def test_every_public_name_has_a_caller():
     assert not stale, f"kept names that now have a caller: {stale}"
 
 
+def bool_checks(src):
+    """'module.name' of the top-level definition around each isinstance(x, bool)
+    call, or 'module.<module>' outside any; a tuple naming bool counts too."""
+    found = []
+    for path in src.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            where = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "isinstance" and len(node.args) == 2
+                        and any(isinstance(n, ast.Name) and n.id == "bool"
+                                for n in ast.walk(node.args[1]))):
+                    found.append(f"{path.stem}.{where}")
+    return found
+
+
+def test_one_integer_rule():
+    # errors.integer is the one place that refuses a bool given as an int;
+    # every other site calls it instead of spelling the rule again
+    assert bool_checks(SRC) == ["errors.integer"]
+
+
 def record_fields(src):
     """{'module.Class.field': field} of every annotated field of a public class."""
     found = {}
