@@ -202,7 +202,9 @@ def _resolve(family: str, params: dict):
             hi = (1.0 - gap) * d1 / n1
     elif family == "GV":
         ce = params.get("ce")
-        if not isinstance(ce, (int, float)) or not 0.0 <= ce < 1.0:
+        if not isinstance(ce, float):
+            ce = integer(ce, "GV family's ce", BadFamilyParams)
+        if not 0.0 <= ce < 1.0:
             raise BadFamilyParams("GV family needs ce in [0, 1)")
         rate, hi, closed = (lambda d: 1.0 + ce - 2.0 * entropy_q4(d)), gv_root_x0(0.0, ce), True
     else:

@@ -19,8 +19,14 @@ if TYPE_CHECKING:
     from .gf import FieldSpec
     from .matrix import MatrixGF
 
-# Entries (length x words) in min_distance's table of low-row combinations:
-# 1 MiB of uint8 for q <= 128, 2 or 4 MiB for larger fields.
+# Entries (length x words) in min_distance's table of the last t rows.  A
+# table of t >= 1 rows needs q^2 <= DEFAULT_BUDGET, so q <= 4096 and the
+# table is uint8 or uint16.  tracemalloc peak at a full table, in bytes per
+# entry: about 2 at t >= 4 in GF(2), GF(3) and GF(16) (the table and its
+# bool buffer); 9 in GF(9), whose build holds an int64 copy of the table; at
+# t = 1 the int64 multiples of the one row are the table's size, so 10 in an
+# extension field and 16 in a prime field.  At most 16 MiB, besides the
+# field's own cached tables.
 _SPAN_ENTRIES = 1 << 20
 
 # Budget of singleton_defect's dual-distance search (the NMDS test).
@@ -164,30 +170,16 @@ def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
     otherwise returns Distance.unknown().  Deterministic.  A budget may lower
     DEFAULT_BUDGET but not raise it.
 
-    Only the messages whose first nonzero coordinate is 1 are visited: every
-    nonzero codeword is a nonzero multiple of exactly one of their words, of
-    the same weight.  Those with lead row i are G[i] plus each combination of
-    the rows after it.  The combinations of the last t rows are one table of
-    q^t words, built from the multiples of all t rows (one vmul) and ordered
-    so that its first q^r words span the last r rows, with at most
-    _SPAN_ENTRIES entries.  The rows between the lead row and the table are
-    walked one coefficient tuple at a time; each tuple's head vector v is
-    added to the first q^r words, r = min(k - 1 - lead, t).
-
-    The table is held column-major, one word per column (n x words), in the
-    smallest unsigned dtype that holds the sum of two field elements,
-    2(q - 1), which the table's own build adds in prime fields: uint8 up to
-    q = 128, then uint16 or uint32.  A word of table + v has weight equal to
-    the number of coordinates where the table differs from -v, so no field
-    addition is done: each (lead row, tuple) writes table != -v into the next
-    q^r columns of one bool buffer of the table's shape.  The buffer is
-    weighed (counts down each column, in the smallest unsigned dtype that
-    holds n, and their minimum) in one reduction each time it fills and once
-    at the end, and a weight of 1 ends the search there.  The slot sizes are
-    powers of q that never grow, so each slot fits whole: a lead row with a
-    head fills the buffer with each tuple, the first lead row without one
-    fills it too, and the rest share one partial fill, weighed at the end.
-    Memory is a few tables of entries x dtype width, whatever the budget.
+    Every nonzero codeword is a nonzero multiple, of the same weight, of a
+    word whose lead (first nonzero) message coefficient is 1.  The words of
+    the last t rows (t <= k - 1, at most _SPAN_ENTRIES entries) form one
+    table, one word per column, in the smallest unsigned dtype that holds
+    2(q - 1); column sum_i a_i q^(t-1-i) is sum_i a_i G[k-t+i].  Its
+    columns [1, 2q^(t-1)) hold a multiple of every nonzero word of those
+    rows, and are weighed as they stand.  A lead row above the table walks
+    its coefficient tuples for the rows between: each tuple's head v is
+    added to every table word, weighed as the count of coordinates where
+    the table differs from -v.  A weight of 1 ends the search.
     """
     import numpy as np
 
@@ -211,25 +203,22 @@ def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
         span = spec.vadd(row_multiples[:, :, None], span[:, None, :]).astype(dtype, copy=False)
         span = span.reshape(n, -1)
     differs = np.empty(span.shape, dtype=bool)
-    used, best = 0, n + 1
-    for lead in range(k):
-        size = q ** min(k - 1 - lead, t)
+    best = n + 1
+    if t:
+        top = 2 * q ** (t - 1)
+        np.not_equal(span[:, 1:top], 0, out=differs[:, 1:top])
+        best = int(differs[:, 1:top].sum(axis=0, dtype=weights).min())
+    for lead in range(k - t):
         head = G[lead + 1 : k - t]
         for coeffs in product(range(q), repeat=len(head)):
+            if best == 1:
+                return Distance.exact(1)
             v = G[lead]
             for c, row in zip(coeffs, head):
                 if c:
                     v = spec.vadd(v, spec.vmul(c, row))
-            neg_v = spec.vneg(v).astype(dtype)
-            np.not_equal(span[:, :size], neg_v[:, None], out=differs[:, used : used + size])
-            used += size
-            if used == differs.shape[1]:
-                best = min(best, int(differs.sum(axis=0, dtype=weights).min()))
-                if best == 1:
-                    return Distance.exact(1)
-                used = 0
-    if used:
-        best = min(best, int(differs[:, :used].sum(axis=0, dtype=weights).min()))
+            np.not_equal(span, spec.vneg(v).astype(dtype)[:, None], out=differs)
+            best = min(best, int(differs.sum(axis=0, dtype=weights).min()))
     return Distance.exact(best)
 
 

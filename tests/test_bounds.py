@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from eaqec import bounds
@@ -358,6 +359,15 @@ class TestRateFamilies:
             rate_value("GV", 0.0, ce=-0.1)
         with pytest.raises(BadFamilyParams):
             rate_value("nope", 0.0, m=4)
+
+    def test_gv_ce_is_a_number_not_a_bool(self):
+        # False would otherwise read as ce = 0; a non-float goes through the
+        # integer rule, and at delta 0 the rate is 1 + ce
+        for bad in (False, True, None, "0.1"):
+            with pytest.raises(BadFamilyParams):
+                rate_value("GV", 0.0, ce=bad)
+        for good in (0, 0.0, np.float64(0.1)):
+            assert rate_value("GV", 0.0, ce=good) == 1.0 + good
 
     def test_nonincreasing(self):
         cases = [

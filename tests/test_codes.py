@@ -2,6 +2,7 @@
 
 from itertools import product
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -50,6 +51,16 @@ def weight(word):
 def oracle_distance(code):
     """Least nonzero weight over every codeword, by codewords()."""
     return min(weight(w) for w in code.codewords() if any(w))
+
+
+def cyclic(n, gpoly):
+    """Generator rows of the cyclic code of length n with generator
+    polynomial gpoly, coefficients from degree 0 up."""
+    k = n - len(gpoly) + 1
+    return [[0] * i + list(gpoly) + [0] * (k - 1 - i) for i in range(k)]
+
+
+GOLAY23 = cyclic(23, [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1])
 
 
 def monomial_image(code, rng):
@@ -205,6 +216,18 @@ class TestMinDistance:
         code = ClassicalCode.from_generator(g)
         assert min_distance(code) == Distance.exact(2)
 
+    @pytest.mark.parametrize("spec, rows, d", [
+        (GF2, [row + [sum(row) % 2] for row in GOLAY23], 8),
+        (GF3, cyclic(11, [2, 0, 1, 2, 1, 1]), 5),
+        (GF4, [[1, 0, 0, 1, 2, 2], [0, 1, 0, 2, 1, 2], [0, 0, 1, 2, 2, 1]], 4),
+    ], ids=["golay-24-12-8", "golay-11-6-5-q3", "hexacode-6-3-4-q4"])
+    def test_anchor_codes(self, spec, rows, d):
+        # codes of known minimum distance, under a seeded monomial map
+        code = monomial_image(ClassicalCode.from_generator(MatrixGF(spec, rows)),
+                              random.Random(d))
+        assert (code.n, code.k) == (len(rows[0]), len(rows))
+        assert min_distance(code) == Distance.exact(d)
+
     def test_exhaustive_oracle(self):
         rng = random.Random(11)
         for spec in (GF2, GF3, GF4):
@@ -311,12 +334,26 @@ class TestMinDistance:
     def test_every_lead_row_is_weighed(self, monkeypatch, entries):
         # the one weight-2 word is a generator row, put at each place in turn;
         # every other word has weight 4 or more.  Each lead row's words are
-        # weighed, whether they fill the buffer or share it with later rows
+        # weighed, whether they are table columns or walk a head above it
         monkeypatch.setattr(codes, "_SPAN_ENTRIES", entries)
         light = [1, 1] + [0] * 12
         heavy = [[0] * (2 + 4 * i) + [1] * 4 + [0] * (8 - 4 * i) for i in range(3)]
         for j in range(4):
             code = ClassicalCode.from_generator(MatrixGF(GF2, heavy[:j] + [light] + heavy[j:]))
+            assert min_distance(code) == Distance.exact(2)
+
+    @pytest.mark.parametrize("entries", [codes._SPAN_ENTRIES, 126, 42],
+                             ids=["no-heads", "some-heads", "all-heads"])
+    def test_every_lead_row_is_weighed_gf3(self, monkeypatch, entries):
+        # over GF(3) the one weight-2 word, up to a scalar, is [1, 1, 0, ...],
+        # twice the generator row [2, 2, 0, ...], put at each place in turn;
+        # the other rows have disjoint supports of 4.  A [14, 4]_3 table
+        # spans the last 3, 2 or 1 rows at these sizes
+        monkeypatch.setattr(codes, "_SPAN_ENTRIES", entries)
+        light = [2, 2] + [0] * 12
+        heavy = [[0] * (2 + 4 * i) + [1, 2, 2, 1] + [0] * (8 - 4 * i) for i in range(3)]
+        for j in range(4):
+            code = ClassicalCode.from_generator(MatrixGF(GF3, heavy[:j] + [light] + heavy[j:]))
             assert min_distance(code) == Distance.exact(2)
 
     # the table's dtype holds 2(q - 1): uint8 up to q = 128, then uint16 or uint32
@@ -354,9 +391,17 @@ class TestMinDistance:
         code = ClassicalCode.from_generator(MatrixGF(spec, g))
         assert min_distance(code) == Distance.exact(4)
 
-    def test_memory_is_a_few_tables(self):
-        # a [32, 16]_2 table holds 2^14 x 32 uint8 entries, 0.5 MiB
-        code = random_code(GF2, 32, 16, random.Random(32))
+    # The largest table each field admits at t = k - 1: q^(k-1) n entries,
+    # and n + 1 would not fit.  Peaks in bytes per entry, as _SPAN_ENTRIES
+    # states them; GF(4093) [256, 2] is the one-row table of a prime field.
+    @pytest.mark.parametrize("spec, n, k, per_entry", [
+        (GF2, 32, 16, 2.5), (GF3, 53, 10, 2.5), (GF16, 16, 5, 2.5), (GF9, 159, 5, 10),
+        (FieldSpec(4093, 1), 256, 2, 16.5),
+    ], ids=["q2", "q3", "q16", "q9", "q4093"])
+    def test_memory_is_a_few_tables(self, monkeypatch, spec, n, k, per_entry):
+        entries = spec.q ** (k - 1) * n
+        assert entries <= codes._SPAN_ENTRIES < entries + spec.q ** (k - 1)
+        code = random_code(spec, n, k, random.Random(n))
         tracemalloc.start()
         try:
             d = min_distance(code)
@@ -364,7 +409,27 @@ class TestMinDistance:
         finally:
             tracemalloc.stop()
         assert d.is_exact
-        assert peak < 4 << 20
+        assert peak <= per_entry * entries
+        # the same code through a table one row shorter and a walked head
+        monkeypatch.setattr(codes, "_SPAN_ENTRIES", entries // spec.q)
+        assert min_distance(code) == d
+
+    @pytest.mark.parametrize("spec, k", [(GF2, 25), (GF3, 16), (GF16, 7), (GF9, 8)],
+                             ids=["q2", "q3", "q16", "q9"])
+    def test_refused_before_any_table(self, spec, k):
+        # q^k one step above the budget is refused before the table is built
+        assert spec.q ** (k - 1) <= DEFAULT_BUDGET < spec.q ** k
+        code = random_code(spec, k + 1, k, random.Random(k))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            d = min_distance(code)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == Distance.unknown()
+        assert peak < 1 << 20 and elapsed < 0.01
 
     def test_does_not_walk_codewords(self, monkeypatch):
         def forbidden(self):
