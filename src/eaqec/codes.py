@@ -163,6 +163,12 @@ def dual(code: ClassicalCode) -> ClassicalCode:
     return ClassicalCode._trusted(code.H, code.G, Distance.unknown())
 
 
+def conjugate(code: ClassicalCode) -> ClassicalCode:
+    """The conjugate code over GF(r^2), x -> x^r entrywise: a field automorphism,
+    so it keeps rank, G @ H.T == 0, every weight and the distance."""
+    return ClassicalCode._trusted(code.G.conj(), code.H.conj(), code.distance)
+
+
 def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
     """Brute-force minimum distance by message-space enumeration.
 

@@ -1,16 +1,13 @@
 """Entanglement-assisted quantum code parameters [[n, k, d; c]]_q.
 
-Two constructions produce these from classical codes:
-
-* css_construct(C1, C2): from two classical codes of the same length over
-  GF(q), giving [[n, k1 + k2 - n + c, >= min(d1, d2); c]]_q where c counts the
-  pre-shared entangled pairs.
-* hermitian_construct(C, q0): from one classical code over GF(q0^2), giving
-  [[n, 2k - n + c, >= d; c]]_{q0}.
-
-In both cases c is computed along two independent routes, a Gram-matrix rank
-and a dual-intersection dimension, and the construction refuses to return if
-the routes disagree.  Constructed distances are stored as design lower bounds.
+One pairing rule: classical codes C1, C2 of length n over GF(q) give
+[[n, k1 + k2 - n + c, >= min(d1, d2); c]], c = rank(H1 @ H2.T) the count of
+pre-shared entangled pairs.  It has two entry points: css_construct(C1, C2)
+over GF(q), and hermitian_construct(C, q0), which pairs C over GF(q0^2) with
+its conjugate codes.conjugate(C) and gives [[n, 2k - n + c, >= d; c]]_{q0}.
+c is computed along two independent routes, a Gram-matrix rank and a
+dual-intersection dimension, and a construction refuses to return if they
+disagree.  Constructed distances are stored as design lower bounds.
 
 A constructed code records its last step as Provenance(op, args), op the CLI
 subcommand: "css" (c1, c2), "hermitian" (code, q0), and from eaqec.concat
@@ -27,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ._record import Record
-from .codes import Defect, Distance
+from .codes import Defect, Distance, conjugate
 from .errors import (
     DistanceUnknown,
     EntanglementFormulaMismatch,
@@ -163,50 +160,41 @@ def css_entanglement(c1: ClassicalCode, c2: ClassicalCode) -> int:
     return _agree(_rank_route(c1.H, c2.H.transpose()), _dimension_route(c2.H, c1.G))
 
 
+def _paired(c1: ClassicalCode, c2: ClassicalCode, q: int, provenance: Provenance) -> EaqeccParams:
+    """The pairing rule [[n, k1 + k2 - n + c, >= min(d1, d2); c]]_q."""
+    c = css_entanglement(c1, c2)
+    d = Distance.lower_bound(min(c1.distance.require(), c2.distance.require()))
+    return EaqeccParams(q=q, n=c1.n, k=c1.k + c2.k - c1.n + c, d=d, c=c, provenance=provenance)
+
+
 def css_construct(c1: ClassicalCode, c2: ClassicalCode) -> EaqeccParams:
     """[[n, k1 + k2 - n + c, >= min(d1, d2); c]]_q from two classical codes."""
     if not (c1.distance.is_known and c2.distance.is_known):
         raise DistanceUnknown("both input distances must be exact or bounded")
-    c = css_entanglement(c1, c2)
-    k = c1.k + c2.k - c1.n + c
-    d = min(c1.distance.require(), c2.distance.require())
-    return EaqeccParams(
-        q=c1.spec.q,
-        n=c1.n,
-        k=k,
-        d=Distance.lower_bound(d),
-        c=c,
-        provenance=Provenance("css", (c1, c2)),
-    )
+    return _paired(c1, c2, c1.spec.q, Provenance("css", (c1, c2)))
+
+
+def _base(code: ClassicalCode, q0) -> int:
+    """q0 as a plain int, when code's field is GF(q0^2)."""
+    q0 = integer(q0, "base field size", FieldMismatch)
+    if not (q0 >= 2 and q0 * q0 == code.spec.q):
+        raise FieldMismatch(f"code field {code.spec!r} is not GF({q0}^2)")
+    return q0
 
 
 def hermitian_entanglement(code: ClassicalCode, q0: int) -> int:
-    """Entangled-pair count for the conjugate pairing of a code over GF(q0^2).
-
-    Computed both as rank(H @ conj(H).T) and as dim(conjugate dual) minus
-    dim(conjugate dual ∩ C); the two must agree.  H is conjugated once; each
-    route eliminates one matrix of its own, two eliminations in all.
-    """
-    if not (q0 >= 2 and q0 * q0 == code.spec.q):
-        raise FieldMismatch(f"code field {code.spec!r} is not GF({q0}^2)")
-    Hc = code.H.conj()
-    return _agree(_rank_route(code.H, Hc.transpose()), _dimension_route(Hc, code.G))
+    """Entangled-pair count for the conjugate pairing of a code over GF(q0^2):
+    the CSS count of the code and its conjugate, rank(H @ conj(H).T)."""
+    _base(code, q0)
+    return css_entanglement(code, conjugate(code))
 
 
 def hermitian_construct(code: ClassicalCode, q0: int) -> EaqeccParams:
     """[[n, 2k - n + c, >= d; c]]_{q0} from one classical code over GF(q0^2)."""
     if not code.distance.is_known:
         raise DistanceUnknown("input distance must be exact or bounded")
-    c = hermitian_entanglement(code, q0)
-    k = 2 * code.k - code.n + c
-    return EaqeccParams(
-        q=q0,
-        n=code.n,
-        k=k,
-        d=Distance.lower_bound(code.distance.require()),
-        c=c,
-        provenance=Provenance("hermitian", (code, q0)),
-    )
+    q0 = _base(code, q0)
+    return _paired(code, conjugate(code), q0, Provenance("hermitian", (code, q0)))
 
 
 class TableTuple(Record):

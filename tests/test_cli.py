@@ -596,6 +596,15 @@ class TestMindist:
             assert code == 3
             assert err.startswith("error: BudgetInvalid")
 
+    def test_nullspace_cap(self, tmp_path):
+        # one GF(2) row of 1025 columns: its 1024 x 1025 generator is refused
+        # before it is allocated, as a domain error
+        path = write(tmp_path, "wide.txt", "q 2 poly 1,1\n" + " ".join(["1"] * 1025) + "\n")
+        proc = run_fresh(["mindist", "--code", path, "--quiet"])
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error: TooLarge: nullspace basis of 1024 x 1025")
+        assert "Traceback" not in proc.stderr
+
     def test_extension_field_above_log_cap(self, capsys, tmp_path):
         # GF(727^2) and GF(2^11) are under the 2^20 field cap but above the
         # 1024 table cap on extension fields; the header is refused before

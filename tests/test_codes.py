@@ -13,6 +13,7 @@ from eaqec.codes import (
     ClassicalCode,
     Defect,
     Distance,
+    conjugate,
     dual,
     min_distance,
     random_code,
@@ -471,6 +472,22 @@ class TestDuals:
                 for a, b in zip(u, v):
                     acc = GF4.add(acc, GF4.mul(a, GF4.pow(b, 2)))
                 assert acc == 0
+
+    @pytest.mark.parametrize("spec, r", [(GF4, 2), (GF9, 3), (GF16, 4)], ids=["q4", "q9", "q16"])
+    def test_conjugate(self, spec, r):
+        rng = random.Random(spec.q)
+        for _ in range(6):
+            n = rng.randrange(2, 5)
+            code = random_code(spec, n, rng.randrange(1, n), rng)
+            code = code.with_distance(min_distance(code))
+            bar = conjugate(code)
+            # the codewords are the entrywise images x -> x^r, G @ H.T == 0 holds,
+            # conjugating twice gives the matrices back, and d is kept
+            assert span(bar) == {tuple(spec.pow(x, r) for x in w) for w in span(code)}
+            assert not bar.G.mul(bar.H.transpose()).array().any()
+            again = conjugate(bar)
+            assert (again.G, again.H) == (code.G, code.H)
+            assert bar.distance == code.distance == min_distance(bar)
 
     def test_hull_dimension_oracle(self):
         rng = random.Random(5)

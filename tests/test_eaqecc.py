@@ -1,6 +1,8 @@
 """Entanglement-assisted constructions: CSS-type pairs and conjugate pairing."""
 
 import random
+from functools import reduce
+from itertools import product
 
 import pytest
 
@@ -31,6 +33,7 @@ GF2 = FieldSpec(2, 1)
 GF3 = FieldSpec(3, 1)
 GF4 = FieldSpec(2, 2)
 GF9 = FieldSpec(3, 2)
+GF16 = FieldSpec(2, 4)
 
 HAMMING_H = [
     [1, 0, 1, 0, 1, 0, 1],
@@ -175,6 +178,17 @@ class TestCssConstruct:
             css_construct(bare, rep2())
 
 
+def conjugate_dual(code, r):
+    """C^⊥h: every v of GF(r^2)^n with sum_i g_i * v_i^r = 0 for every generator row g."""
+    spec, rows = code.spec, code.G.to_lists()
+    found = set()
+    for v in product(range(spec.q), repeat=code.n):
+        vbar = [spec.pow(x, r) for x in v]
+        if all(reduce(spec.add, map(spec.mul, g, vbar), 0) == 0 for g in rows):
+            found.add(v)
+    return found
+
+
 class TestHermitianConstruct:
     def test_three_qubit_maximal(self):
         h = MatrixGF(GF4, [[1, 1, 2]])
@@ -215,9 +229,9 @@ class TestHermitianConstruct:
         with pytest.raises(FieldMismatch):
             hermitian_entanglement(rep2(), 2)
 
-    @pytest.mark.parametrize("base", [-2, 0, 4])
+    @pytest.mark.parametrize("base", [-2, 0, 4, 2.0])
     def test_base_must_be_the_square_root(self, base):
-        # only base 2 is GF(4)'s; -2 squares to 4 too but is no field size
+        # only base 2 is GF(4)'s; -2 and 2.0 square to 4 too but are no field size
         code = with_d(ClassicalCode.from_parity_check(MatrixGF(GF4, [[1, 1, 2]])))
         with pytest.raises(FieldMismatch):
             hermitian_entanglement(code, base)
@@ -228,6 +242,19 @@ class TestHermitianConstruct:
         bare = ClassicalCode.from_parity_check(MatrixGF(GF4, [[1, 1, 2]]))
         with pytest.raises(DistanceUnknown):
             hermitian_construct(bare, 2)
+
+    def test_count_by_brute_force(self):
+        # c = (n - k) - log_q |C^⊥h ∩ C|, where C^⊥h = {v : sum_i g_i v_i^r = 0
+        # for every generator row g}, both sets enumerated with scalar field ops
+        rng = random.Random(36)
+        for spec, r, top in ((GF4, 2, 5), (GF9, 3, 4), (GF16, 4, 3)):
+            for _ in range(12):
+                n = rng.randrange(2, top + 1)
+                code = random_code(spec, n, rng.randrange(1, n + 1), rng)
+                hull = conjugate_dual(code, r) & set(code.codewords())
+                dim = next(e for e in range(n + 1) if spec.q ** e >= len(hull))
+                assert spec.q ** dim == len(hull)
+                assert hermitian_entanglement(code, r) == code.n - code.k - dim
 
 
 def gf9_css_pair():

@@ -13,12 +13,13 @@ import pytest
 from eaqec.bounds import _checked_m, amds_length_bound, weil_bound
 from eaqec.codes import ClassicalCode, Distance, min_distance, random_code
 from eaqec.concat import concatenate, expurgate, extend
-from eaqec.eaqecc import EaqeccParams, parse_params
+from eaqec.eaqecc import EaqeccParams, hermitian_construct, parse_params
 from eaqec.ensemble import EnsembleSpec, nt_w_bruteforce, psi_t
 from eaqec.errors import (
     BadFamilyParams,
     BudgetInvalid,
     DomainError,
+    FieldMismatch,
     NotIrreducible,
     NotPrime,
     integer,
@@ -30,6 +31,8 @@ GF2 = FieldSpec(2)
 HAMMING = ClassicalCode.from_parity_check(
     MatrixGF(GF2, [[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]])
 )
+TRIPLE = ClassicalCode.from_parity_check(MatrixGF(FieldSpec(2, 2), [[1, 1, 2]]))
+TRIPLE = TRIPLE.with_distance(min_distance(TRIPLE))
 BASE = parse_params("5,3,2,1,2")
 CONCAT = concatenate(parse_params("4,2,2,0,2"), parse_params("5,3,2,1,4"))
 
@@ -66,6 +69,9 @@ SITES = {
     ),
     "eaqecc.EaqeccParams-c": (
         ValueError, 1, lambda x: EaqeccParams(q=2, n=3, k=1, d=Distance.exact(2), c=x).c,
+    ),
+    "eaqecc.hermitian_construct-q0": (
+        FieldMismatch, 2, lambda x: hermitian_construct(TRIPLE, x).provenance.args[1],
     ),
     "gf.FieldSpec-p": (NotPrime, 3, lambda x: FieldSpec(x).p),
     "gf.FieldSpec-m": (NotIrreducible, 2, lambda x: FieldSpec(2, x).m),

@@ -1,6 +1,7 @@
 """Matrix kernel: rref/rank/nullspace against exhaustive oracles."""
 
 import random
+import time
 import tracemalloc
 from itertools import product
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaqec import matrix
-from eaqec.errors import DimensionMismatch, FieldMismatch
+from eaqec.errors import DimensionMismatch, FieldMismatch, TooLarge
 from eaqec.gf import FieldSpec
 from eaqec.matrix import MatrixGF
 from eaqec.primes import MAX_FIELD_SIZE, is_prime
@@ -215,6 +216,49 @@ def test_nullspace_exhaustive_oracle():
                 if not MatrixGF(spec, list(v)).mul(m.transpose()).array().any()
             }
             assert kernel == direct
+
+
+def at_the_nullspace_cap(rank, extra):
+    """Columns of the widest rank-`rank` matrix whose basis fits the cap, plus extra."""
+    cols = rank
+    while (cols + 1 - rank) * (cols + 1) <= matrix._NULLSPACE_ENTRIES:
+        cols += 1
+    return cols + extra
+
+
+@pytest.mark.parametrize("spec, rows", [(GF2, 1), (GF3, 32)], ids=["q2-one-row", "q3-32-rows"])
+def test_nullspace_largest_admitted_basis(spec, rows):
+    # the basis (8 MiB at the cap) plus two rows x free blocks: under 10 MiB
+    cols = at_the_nullspace_cap(rows, 0)
+    m = random_matrix(spec, rows, cols, random.Random(cols))
+    assert m.rank() == rows
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        basis = m.nullspace()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.shape == (cols - rows, cols)
+    assert basis.rows * basis.cols <= matrix._NULLSPACE_ENTRIES
+    assert peak < 10 << 20 and elapsed < 0.5
+
+
+def test_nullspace_smallest_refused_basis():
+    # one column more than the widest admitted row: refused before the basis
+    cols = at_the_nullspace_cap(1, 1)
+    m = MatrixGF(GF2, [[1] * cols])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"{cols - 1} x {cols} entries exceeds the cap"):
+            m.nullspace()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and elapsed < 0.01
 
 
 def test_matmul_against_naive():
