@@ -24,9 +24,11 @@ if TYPE_CHECKING:
 # table is uint8 or uint16.  tracemalloc peak at a full table, in bytes per
 # entry: about 2 at t >= 4 in GF(2), GF(3) and GF(16) (the table and its
 # bool buffer); 9 in GF(9), whose build holds an int64 copy of the table; at
-# t = 1 the int64 multiples of the one row are the table's size, so 10 in an
-# extension field and 16 in a prime field.  At most 16 MiB, besides the
-# field's own cached tables.
+# t = 1 the multiples of the one row are the table's size.  A prime field
+# multiplies them in the narrowest dtype that holds (q - 1)^2, so 6 in
+# GF(4093) (uint32 products, a uint16 table); an extension field gathers them
+# from its int64 product table, so 10 in GF(2^8) and 12 in GF(3^6).  At most
+# 12 MiB, besides the field's own cached tables.
 _SPAN_ENTRIES = 1 << 20
 
 # Budget of singleton_defect's dual-distance search (the NMDS test).
@@ -204,7 +206,9 @@ def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
     while t < k - 1 and q ** (t + 1) * n <= _SPAN_ENTRIES:
         t += 1
     span = np.zeros((n, 1), dtype=dtype)
-    multiples = spec.vmul(G[k - t:, :, None], np.arange(q)).astype(dtype)
+    wide = np.min_scalar_type((q - 1) ** 2)  # holds a product of two entries
+    multiples = spec.vmul(G[k - t:, :, None].astype(wide), np.arange(q, dtype=wide))
+    multiples = multiples.astype(dtype, copy=False)
     for row_multiples in multiples[::-1]:
         span = spec.vadd(row_multiples[:, :, None], span[:, None, :]).astype(dtype, copy=False)
         span = span.reshape(n, -1)

@@ -39,7 +39,11 @@ one-digit table and the table of the places below it (in characteristic 2
 that is XOR, which vadd computes without the table).  The inverse and conjugation tables are read off
 the product table.  vsub is vadd of vneg.
 vsub_outer is the fused rank-1 update a - f (x) row that elimination
-applies at each pivot, in place where the field allows.  vconj is the
+applies at each pivot, in place where the field allows: in GF(2) an XOR of
+f AND row (AND is the product in GF(2)), in a prime field a broadcast product
+subtracted and reduced mod p, in GF(2^m) an XOR of one product-table gather,
+and in an odd extension field the negation, product and addition tables
+(a new array).  vconj is the
 conjugation x -> x^r of an even-degree field GF(r^2), r = p^(m/2), which
 the Hermitian form uses; odd degrees raise FieldMismatch.
 """
@@ -268,8 +272,12 @@ class FieldSpec:
         return self.vadd(a, self.vneg(b))
 
     def vmul(self, a, b):
+        """Entrywise product.  A prime field multiplies in the dtype of its
+        operands, so a caller may pass a narrower one that holds (q - 1)^2."""
         if self.m == 1:
-            return (np.asarray(a) * np.asarray(b)) % self.p
+            prod = np.asarray(a) * np.asarray(b)
+            prod %= self.p
+            return prod
         return self._mul_table[a, b]
 
     def vsub_outer(self, a, f, row):
@@ -277,10 +285,10 @@ class FieldSpec:
         and a row.  Characteristic 2 and prime fields update a in place; odd
         extension fields return a new array, so callers use the return value."""
         if self.p == 2:
-            a ^= np.multiply.outer(f, row) if self.m == 1 else self._mul_table[f[:, None], row]
+            a ^= f[:, None] & row if self.m == 1 else self._mul_table[f[:, None], row]
             return a
         if self.m == 1:
-            a -= np.multiply.outer(f, row)
+            a -= f[:, None] * row
             a %= self.p
             return a
         return self._add_table[a, self._mul_table[f[:, None], self._neg_table[row]]]

@@ -5,11 +5,17 @@ numpy int64 array.  All kernels (product, reduced row echelon form, rank,
 nullspace) are exact field arithmetic; elimination pivots on the first row
 with a nonzero entry in the current column, so results are deterministic.
 
-Each pivot of rref swaps the pivot row into place with plain row copies (no
-fancy indexing), scales it to a leading 1, and clears the rest of the pivot
-column with one whole-matrix rank-1 update a - f (x) row
-(gf.FieldSpec.vsub_outer), where f is the pivot column with its own entry
-zeroed.  Rows whose entry in f is zero are left as they are.
+Each pivot of rref copies its column once.  The copy is searched for the
+pivot row, which is swapped into place with plain row copies (no fancy
+indexing) and scaled to a leading 1; with its pivot entry zeroed, the copy
+is the factor f of one whole-matrix rank-1 update a - f (x) row
+(gf.FieldSpec.vsub_outer) that clears the rest of the column.  Rows whose
+entry in f is zero are left as they are.  An elimination whose work could
+exceed _RREF_WORK is refused before its first pivot.
+
+Every kernel ends with a fresh C-contiguous int64 array (the working copy of
+rref, the basis of nullspace, the output of mul, ...), which MatrixGF._wrap
+makes read-only and keeps without a copy.
 """
 
 from __future__ import annotations
@@ -29,6 +35,13 @@ _MUL_ENTRIES = 1 << 20
 # columns, 9.0 MiB for 32 GF(3) rows of 1040.
 _NULLSPACE_ENTRIES = 1 << 20
 
+# Entry updates of one elimination, rows x cols x min(rows, cols).  The
+# largest elimination of any test or benchmark input is 200 x 400 (1.6e7
+# updates).  At the cap, a 256 x 256 elimination takes ~0.15 s in GF(3) or
+# GF(9) on a 2-core Xeon, with a tracemalloc peak of 2.3 (characteristic 2
+# and prime fields) to 3.1 (odd extension fields) copies of the matrix.
+_RREF_WORK = 1 << 24
+
 
 class MatrixGF:
     __slots__ = ("spec", "rows", "cols", "_a")
@@ -42,7 +55,8 @@ class MatrixGF:
             a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
         if a.ndim != 2:
             raise DimensionMismatch(f"expected a 2-D array, got ndim={a.ndim}")
-        if a.size and (a.min() < 0 or a.max() >= spec.q):
+        # one reduction: a negative entry reads as a uint64 above any q
+        if a.size and a.view(np.uint64).max() >= spec.q:
             raise ValueError(f"entries must lie in [0, {spec.q})")
         self.spec = spec
         self.rows, self.cols = a.shape
@@ -51,10 +65,10 @@ class MatrixGF:
 
     @classmethod
     def _wrap(cls, spec: FieldSpec, a: np.ndarray) -> "MatrixGF":
+        """Take ownership of a fresh C-contiguous int64 array of valid entries."""
         m = object.__new__(cls)
         m.spec = spec
         m.rows, m.cols = a.shape
-        a = np.ascontiguousarray(a, dtype=np.int64)
         a.setflags(write=False)
         m._a = a
         return m
@@ -105,7 +119,7 @@ class MatrixGF:
         self._check_field(other)
         if self.cols != other.cols:
             raise DimensionMismatch(f"column counts differ: {self.cols} vs {other.cols}")
-        return MatrixGF._wrap(self.spec, np.vstack([self._a, other._a]))
+        return MatrixGF._wrap(self.spec, np.concatenate((self._a, other._a)))
 
     # --- arithmetic ---
 
@@ -136,27 +150,42 @@ class MatrixGF:
     # --- elimination ---
 
     def rref(self) -> tuple["MatrixGF", tuple[int, ...]]:
-        """Reduced row echelon form and the tuple of pivot columns."""
+        """Reduced row echelon form and the tuple of pivot columns.
+
+        A matrix whose elimination could take more than _RREF_WORK entry
+        updates (rows x cols x min(rows, cols)) is refused with TooLarge
+        before the first pivot.  Per pivot: one copy of the column, whose
+        first nonzero entry at or below the current row picks the pivot row;
+        a swap by row copies; a scaling of the pivot row unless its entry is
+        already 1; and one rank-1 update by the column copy, its pivot entry
+        zeroed.  The working copy is returned as the echelon matrix.
+        """
+        rows, cols = self.rows, self.cols
+        if rows * cols * min(rows, cols) > _RREF_WORK:
+            raise TooLarge(
+                f"elimination of a {rows} x {cols} matrix exceeds the cap of "
+                f"{_RREF_WORK} entry updates"
+            )
         spec = self.spec
         a = self._a.copy()
-        rows, cols = a.shape
         pivots = []
         r = 0
         for c in range(cols):
             if r == rows:
                 break
-            nz = a[r:, c].nonzero()[0]
+            f = a[:, c].copy()
+            nz = f[r:].nonzero()[0]
             if not nz.size:
                 continue
-            i = r + int(nz[0])
+            i = r + nz.item(0)
+            pv = f.item(i)
             if i != r:
                 row = a[i].copy()
                 a[i] = a[r]
                 a[r] = row
-            pv = int(a[r, c])
+                f[i] = f[r]
             if pv != 1:
                 a[r] = spec.vmul(a[r], spec.inv(pv))
-            f = a[:, c].copy()
             f[r] = 0
             a = spec.vsub_outer(a, f, a[r])
             pivots.append(c)
@@ -174,18 +203,25 @@ class MatrixGF:
         pivot columns, which makes the basis unique for a given matrix.  The
         rank is cols - N.rows, from the same elimination.  A basis of more
         than _NULLSPACE_ENTRIES entries is refused with TooLarge before it is
-        allocated.
+        allocated.  The free columns come from a mask of the pivots; the
+        basis takes its 1s by one paired index and its echelon entries by one
+        take of the free columns, negated.
         """
         R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        if len(free) * self.cols > _NULLSPACE_ENTRIES:
+        rank, cols = len(pivots), self.cols
+        nfree = cols - rank
+        if nfree * cols > _NULLSPACE_ENTRIES:
             raise TooLarge(
-                f"nullspace basis of {len(free)} x {self.cols} entries "
+                f"nullspace basis of {nfree} x {cols} entries "
                 f"exceeds the cap of {_NULLSPACE_ENTRIES}"
             )
-        basis = np.zeros((len(free), self.cols), dtype=np.int64)
-        basis[np.arange(len(free)), free] = 1
-        if pivots and free:
-            basis[:, list(pivots)] = self.spec.vneg(R._a[: len(pivots)][:, free].T)
+        basis = np.zeros((nfree, cols), dtype=np.int64)
+        if nfree:
+            piv = np.array(pivots, dtype=np.intp)
+            is_free = np.empty(cols, dtype=bool)
+            is_free.fill(True)
+            is_free[piv] = False
+            free = is_free.nonzero()[0]
+            basis[np.arange(nfree), free] = 1
+            basis[:, piv] = self.spec.vneg(R._a[:rank].take(free, axis=1).T)
         return MatrixGF._wrap(self.spec, basis)

@@ -397,7 +397,7 @@ class TestMinDistance:
     # states them; GF(4093) [256, 2] is the one-row table of a prime field.
     @pytest.mark.parametrize("spec, n, k, per_entry", [
         (GF2, 32, 16, 2.5), (GF3, 53, 10, 2.5), (GF16, 16, 5, 2.5), (GF9, 159, 5, 10),
-        (FieldSpec(4093, 1), 256, 2, 16.5),
+        (FieldSpec(4093, 1), 256, 2, 6.5),
     ], ids=["q2", "q3", "q16", "q9", "q4093"])
     def test_memory_is_a_few_tables(self, monkeypatch, spec, n, k, per_entry):
         entries = spec.q ** (k - 1) * n

@@ -184,6 +184,59 @@ def test_rref_memory_is_bounded(spec):
     assert peak < cap
 
 
+# the cap is a cube: side x side is the largest square it admits
+RREF_SIDE = round(matrix._RREF_WORK ** (1 / 3))
+
+
+@pytest.mark.parametrize("spec", [GF3, GF9], ids=repr)
+def test_rref_largest_admitted_elimination(spec):
+    # side^3 entry updates, the cap itself; the working copy and the
+    # temporaries of one rank-1 update stay under 3.5 copies of the matrix
+    assert RREF_SIDE ** 3 == matrix._RREF_WORK
+    m = MatrixGF(spec, np.random.default_rng(14).integers(0, spec.q, (RREF_SIDE, RREF_SIDE)))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        _, pivots = m.rref()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pivots) > 0
+    assert peak < 3.5 * m.array().nbytes and elapsed < 1.0
+
+
+@pytest.mark.parametrize("shape", [(RREF_SIDE, RREF_SIDE + 1), (RREF_SIDE + 1, RREF_SIDE)],
+                         ids=["wide", "tall"])
+def test_rref_smallest_refused_elimination(shape):
+    # one column (or row) more than the largest admitted square: the fewest
+    # entries whose work exceeds the cap, refused before the working copy
+    m = MatrixGF(GF3, np.ones(shape, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"{shape[0]} x {shape[1]} matrix exceeds the cap"):
+            m.rref()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and elapsed < 0.01
+    for call in (m.rank, m.nullspace):
+        with pytest.raises(TooLarge):
+            call()
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF9, GF16, GF_TOP], ids=repr)
+def test_results_are_read_only_c_contiguous_int64(spec):
+    rng = np.random.default_rng(spec.q + 1)
+    for data in _oracle_cases(spec, rng):
+        m = MatrixGF(spec, data)
+        for out in (m.rref()[0], m.nullspace()):
+            a = out.array()
+            assert a.dtype == np.int64 and a.flags.c_contiguous and not a.flags.writeable
+
+
 def test_nullspace_is_exact_kernel():
     rng = random.Random(6)
     for spec in (GF2, GF3, GF4):
@@ -216,6 +269,36 @@ def test_nullspace_exhaustive_oracle():
                 if not MatrixGF(spec, list(v)).mul(m.transpose()).array().any()
             }
             assert kernel == direct
+
+
+def nullspace_reference(spec, rows, cols):
+    """The canonical basis from rref_reference: row i has 1 at the i-th free
+    column f and -R[j][f], that is (p - 1) R[j][f], at pivot column j."""
+    R, pivots = rref_reference(spec, rows)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = [[0] * cols for _ in free]
+    for i, f in enumerate(free):
+        basis[i][f] = 1
+        for j, c in enumerate(pivots):
+            basis[i][c] = spec.mul(spec.p - 1, R[j][f])
+    return basis
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF9, GF16, GF_TOP], ids=repr)
+def test_nullspace_matches_scalar_reference(spec):
+    # the oracle cases (a 1 x n row, rank 0, a single column) plus full
+    # column rank, whose basis is (0, n)
+    rng = np.random.default_rng(spec.q + 2)
+    full = np.vstack([np.eye(4, dtype=np.int64), rng.integers(0, spec.q, (3, 4))])
+    for data in _oracle_cases(spec, rng) + [full, np.ones((1, 1), dtype=np.int64)]:
+        cols = data.shape[1]
+        basis = MatrixGF(spec, data).nullspace()
+        want = nullspace_reference(spec, data.tolist(), cols)
+        assert basis.shape == (len(want), cols)
+        assert basis.to_lists() == want
+    assert MatrixGF(spec, full).nullspace().shape == (0, 4)
+    zero = MatrixGF.zeros(spec, 3, 5).nullspace()
+    assert zero.to_lists() == np.eye(5, dtype=np.int64).tolist()
 
 
 def at_the_nullspace_cap(rank, extra):
