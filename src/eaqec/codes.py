@@ -226,7 +226,7 @@ def min_distance(code: ClassicalCode, budget: int = DEFAULT_BUDGET) -> Distance:
             v = G[lead]
             for c, row in zip(coeffs, head):
                 if c:
-                    v = spec.vadd(v, spec.vmul(c, row))
+                    v = spec.vadd(v, spec.vmul(row, c))
             np.not_equal(span, spec.vneg(v).astype(dtype)[:, None], out=differs)
             best = min(best, int(differs.sum(axis=0, dtype=weights).min()))
     return Distance.exact(best)

@@ -10,8 +10,15 @@ pivot row, which is swapped into place with plain row copies (no fancy
 indexing) and scaled to a leading 1; with its pivot entry zeroed, the copy
 is the factor f of one whole-matrix rank-1 update a - f (x) row
 (gf.FieldSpec.vsub_outer) that clears the rest of the column.  Rows whose
-entry in f is zero are left as they are.  An elimination whose work could
-exceed _RREF_WORK is refused before its first pivot.
+entry in f is zero are left as they are, and a pivot whose f is all zero
+(no other row has an entry in its column) skips the update.  An elimination
+whose work could exceed _RREF_WORK is refused before its first pivot.
+
+The product of a prime field is one integer matmul per slice of the inner
+dimension, each slice short enough that its sums stay below _INT64_BOUND,
+reduced mod p once per slice.  An extension field gathers its products from
+the product table in row blocks of at most _MUL_ENTRIES and sums them with
+vsum, so its product holds at most three temporaries of that size.
 
 Every kernel ends with a fresh C-contiguous int64 array (the working copy of
 rref, the basis of nullspace, the output of mul, ...), which MatrixGF._wrap
@@ -25,8 +32,11 @@ import numpy as np
 from .errors import DimensionMismatch, FieldMismatch, TooLarge
 from .gf import FieldSpec
 
-# Entries in one block of MatrixGF.mul's elementwise products.
+# Entries in one block of MatrixGF.mul's elementwise products (extension fields).
 _MUL_ENTRIES = 1 << 20
+
+# A prime field's MatrixGF.mul keeps every int64 sum below this bound.
+_INT64_BOUND = 1 << 63
 
 # Entries in one nullspace basis, (cols - rank) x cols in int64: at most 8 MiB.
 # Past the elimination (whose copies are the matrix's size), the build adds two
@@ -37,9 +47,14 @@ _NULLSPACE_ENTRIES = 1 << 20
 
 # Entry updates of one elimination, rows x cols x min(rows, cols).  The
 # largest elimination of any test or benchmark input is 200 x 400 (1.6e7
-# updates).  At the cap, a 256 x 256 elimination takes ~0.15 s in GF(3) or
-# GF(9) on a 2-core Xeon, with a tracemalloc peak of 2.3 (characteristic 2
-# and prime fields) to 3.1 (odd extension fields) copies of the matrix.
+# updates).  The tracemalloc peak of an elimination, its tables built, stays
+# under 4.5 copies of the matrix plus q x min(rows, cols) int64 entries, the
+# table lookups of one pivot in an extension field (2 MiB at most inside the
+# cap, at q = 1024).  At the cap, a 256 x 256 elimination takes ~0.13 s in
+# GF(3), 0.04 s in GF(9) and 0.10 s in GF(2^10) on a 2-core Xeon, with peaks
+# of 2.3, 2.1 and 2.0 copies plus the lookups; a 1 x 16384 or 16384 x 1
+# matrix peaks at 2 to 4 copies (the column copy, its nonzero indices, the
+# update).
 _RREF_WORK = 1 << 24
 
 
@@ -129,19 +144,30 @@ class MatrixGF:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        spec, a, b = self.spec, self._a, other._a[None, :, :]
-        # reduce the rows x inner x cols products in row blocks.  A row costs
-        # cols x max(inner, m) entries: its products, or the m digit sums per
-        # output that vsum may hold.  A block holds at most _MUL_ENTRIES of
-        # them, or one row, so no temporary (the products, their uint8 digits,
-        # m <= 6, and the digit sums) takes more bytes than the larger of
-        # _MUL_ENTRIES and one row's cost in int64 entries, and the product
-        # takes its output plus at most three
+        spec, a, b = self.spec, self._a, other._a
+        if spec.m == 1:
+            # one integer product per slice of the inner dimension, reduced
+            # once: a slice of s terms sums to at most s (p - 1)^2, plus the
+            # reduced sum before it (below p), which stays below _INT64_BOUND
+            p = spec.p
+            step = max(1, (_INT64_BOUND - 1 - p) // (p - 1) ** 2)
+            out = np.zeros((self.rows, other.cols), dtype=np.int64)
+            for k in range(0, self.cols, step):
+                out += a[:, k : k + step] @ b[k : k + step]
+                out %= p
+            return MatrixGF._wrap(spec, out)
+        # an extension field reduces the rows x inner x cols products in row
+        # blocks.  A row costs cols x max(inner, m) entries: its products, or
+        # the m digit sums per output that vsum may hold.  A block holds at
+        # most _MUL_ENTRIES of them, or one row, so no temporary (the
+        # products, their uint8 digits, m <= 6, and the digit sums) takes
+        # more bytes than the larger of _MUL_ENTRIES and one row's cost in
+        # int64 entries, and the product takes its output plus at most three
         width = max(self.cols, spec.m)
         step = max(1, _MUL_ENTRIES // max(1, width * other.cols))
         out = np.empty((self.rows, other.cols), dtype=np.int64)
         for i in range(0, self.rows, step):
-            out[i : i + step] = spec.vsum(spec.vmul(a[i : i + step, :, None], b), axis=1)
+            out[i : i + step] = spec.vsum(spec.vmul(a[i : i + step, :, None], b[None]), axis=1)
         return MatrixGF._wrap(spec, out)
 
     def __matmul__(self, other):
@@ -158,7 +184,8 @@ class MatrixGF:
         first nonzero entry at or below the current row picks the pivot row;
         a swap by row copies; a scaling of the pivot row unless its entry is
         already 1; and one rank-1 update by the column copy, its pivot entry
-        zeroed.  The working copy is returned as the echelon matrix.
+        zeroed, unless that leaves the copy all zero.  The working copy is
+        returned as the echelon matrix.
         """
         rows, cols = self.rows, self.cols
         if rows * cols * min(rows, cols) > _RREF_WORK:
@@ -187,7 +214,8 @@ class MatrixGF:
             if pv != 1:
                 a[r] = spec.vmul(a[r], spec.inv(pv))
             f[r] = 0
-            a = spec.vsub_outer(a, f, a[r])
+            if np.count_nonzero(f):
+                a = spec.vsub_outer(a, f, a[r])
             pivots.append(c)
             r += 1
         return MatrixGF._wrap(spec, a), tuple(pivots)
@@ -203,18 +231,17 @@ class MatrixGF:
         pivot columns, which makes the basis unique for a given matrix.  The
         rank is cols - N.rows, from the same elimination.  A basis of more
         than _NULLSPACE_ENTRIES entries is refused with TooLarge before it is
-        allocated.  The free columns come from a mask of the pivots; the
-        basis takes its 1s by one paired index and its echelon entries by one
-        take of the free columns, negated.
+        allocated, and before the elimination when cols - rows rows, its
+        least size, already exceed the cap.  The free columns come from a mask
+        of the pivots; the basis takes its 1s by one paired index and its
+        echelon entries by one take of the free columns, negated.
         """
+        cols = self.cols
+        _check_basis(cols - self.rows, cols)
         R, pivots = self.rref()
-        rank, cols = len(pivots), self.cols
+        rank = len(pivots)
         nfree = cols - rank
-        if nfree * cols > _NULLSPACE_ENTRIES:
-            raise TooLarge(
-                f"nullspace basis of {nfree} x {cols} entries "
-                f"exceeds the cap of {_NULLSPACE_ENTRIES}"
-            )
+        _check_basis(nfree, cols)
         basis = np.zeros((nfree, cols), dtype=np.int64)
         if nfree:
             piv = np.array(pivots, dtype=np.intp)
@@ -225,3 +252,10 @@ class MatrixGF:
             basis[np.arange(nfree), free] = 1
             basis[:, piv] = self.spec.vneg(R._a[:rank].take(free, axis=1).T)
         return MatrixGF._wrap(self.spec, basis)
+
+
+def _check_basis(nfree: int, cols: int):
+    if nfree * cols > _NULLSPACE_ENTRIES:
+        raise TooLarge(
+            f"nullspace basis of {nfree} x {cols} entries exceeds the cap of {_NULLSPACE_ENTRIES}"
+        )

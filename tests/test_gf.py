@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +169,41 @@ def test_constructor_errors():
         FieldSpec(2, 9)
     with pytest.raises(NotIrreducible):
         FieldSpec(2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x+1)^2 over GF(2)
+
+
+def test_largest_tabled_field_builds_every_table():
+    # GF(2^10), q = _TABLE_CAP, built afresh under the modulus of CAP_SPECS: the
+    # constructor checks it through the product table, then every other table
+    # is read once
+    assert 2**10 == gf._TABLE_CAP
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        spec = FieldSpec(2, 10, modulus=CAP_SPECS[1].modulus)
+        for name in ("_digits", "_place", "_mul_table", "_inv_table", "_add_table",
+                     "_neg_table", "_conj_table"):
+            getattr(spec, name)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20 and elapsed < 0.5
+
+
+@pytest.mark.parametrize("build", [lambda: FieldSpec(2, 11), lambda: field_of_order(2048)],
+                         ids=["FieldSpec", "field_of_order"])
+def test_smallest_field_above_the_table_cap_is_refused(build):
+    # q = 2048, the least extension field above the cap: refused before any table
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(FieldTooLarge, match="exceeds the table cap 1024"):
+            build()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and elapsed < 0.01
 
 
 def test_linear_modulus_is_canonical():
@@ -341,6 +378,60 @@ def test_vsub_outer_matches_vsub_of_vmul(spec):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
+# every field with a built-in modulus, the prime fields up to the largest,
+# and the CAP_SPECS fields
+KERNEL_SPECS = ([FieldSpec(p) for p in (2, 3, 5, 7)] + OUTER_SPECS[-1:]
+                + [FieldSpec(p, m) for p, m in gf._BUILTIN_MODULI] + CAP_SPECS)
+
+
+def scalar_outer_update(spec, a, f, row):
+    """a - f (x) row entry by entry on the scalar ops; -x is (p - 1) x."""
+    return [[spec.add(x, spec.mul(spec.p - 1, spec.mul(fi, y))) for x, y in zip(ai, row)]
+            for ai, fi in zip(a, f)]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=repr)
+def test_vsub_outer_matches_scalar_ops(spec):
+    # len(f) below, equal to and above len(row), zero rows and zero columns;
+    # the row is also passed as a view of a's row 0, whose entry in f is 0,
+    # as elimination passes its pivot row
+    rng = np.random.default_rng(spec.q + 3)
+    for rows, cols in ((2, 9), (6, 6), (9, 2), (1, 1), (0, 5), (4, 0)):
+        a = rng.integers(0, spec.q, (rows, cols))
+        f = rng.integers(0, spec.q, rows)
+        row = rng.integers(0, spec.q, cols)
+        want = scalar_outer_update(spec, a.tolist(), f.tolist(), row.tolist())
+        got = spec.vsub_outer(a.copy(), f, row)
+        assert got.shape == (rows, cols) and got.tolist() == want
+        if rows:
+            f[0] = 0
+            want = scalar_outer_update(spec, a.tolist(), f.tolist(), a[0].tolist())
+            work = a.copy()
+            assert spec.vsub_outer(work, f, work[0]).tolist() == want
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=repr)
+def test_unary_kernels_match_scalar_ops(spec):
+    # vmul by a scalar (a Python or numpy integer), vneg and vconj on 1-D,
+    # 2-D and empty arrays; vconj only in even degree
+    rng = np.random.default_rng(spec.q + 4)
+    scalars = sorted({0, 1, spec.q - 1, int(rng.integers(0, spec.q))})
+    r = spec.p ** (spec.m // 2)
+    for x in (rng.integers(0, spec.q, 11), rng.integers(0, spec.q, (3, 5)),
+              np.zeros((0, 4), dtype=np.int64)):
+        flat = x.ravel().tolist()
+        for c in scalars:
+            for scalar in (c, np.int64(c)):
+                got = spec.vmul(x, scalar)
+                assert got.shape == x.shape
+                assert got.ravel().tolist() == [spec.mul(v, c) for v in flat]
+        assert spec.vneg(x).shape == x.shape
+        assert spec.vneg(x).ravel().tolist() == [spec.mul(spec.p - 1, v) for v in flat]
+        if spec.m % 2 == 0:
+            assert spec.vconj(x).shape == x.shape
+            assert spec.vconj(x).ravel().tolist() == [spec.pow(v, r) for v in flat]
+
+
 @pytest.mark.parametrize("spec", [FieldSpec(3, 2), FieldSpec(3, 4), CAP_SPECS[0]],
                          ids=lambda s: f"q{s.q}")
 def test_vsum_matches_scalar_fold(spec):
@@ -353,6 +444,9 @@ def test_vsum_matches_scalar_fold(spec):
         for axis in (0, 1, -1):
             want = fold.reduce(arr, axis=axis).astype(np.int64)
             assert np.array_equal(spec.vsum(arr, axis=axis), want), (shape, axis)
+        for axis in (3, -4):  # as in numpy, not the digit axis of the sum
+            with pytest.raises(np.exceptions.AxisError):
+                spec.vsum(arr, axis=axis)
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS + LARGE_SPECS, ids=lambda s: f"q{s.q}")

@@ -1,5 +1,6 @@
 """Matrix kernel: rref/rank/nullspace against exhaustive oracles."""
 
+import functools
 import random
 import time
 import tracemalloc
@@ -227,6 +228,30 @@ def test_rref_smallest_refused_elimination(shape):
             call()
 
 
+# the largest tabled field, GF(2^10) (x^10 + x^3 + 1)
+GF1024 = FieldSpec(2, 10, modulus=(1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("shape", [(1, 16384), (2, 16384), (16384, 1), (RREF_SIDE, RREF_SIDE)],
+                         ids=["row", "two-rows", "column", "square"])
+def test_rref_table_lookups_take_the_shorter_side(shape):
+    # each pivot's lookups read q x min(rows, cols) table entries, so the peak
+    # stays within _RREF_WORK's bound: 4.5 copies of the matrix plus that
+    # transient.  Read along the longer side, a 2 x 16384 matrix or a
+    # 16384 x 1 column would take 1024 x 16384 entries (128 MiB); a single
+    # row has no other row to update
+    GF1024.inv(2)  # the tables are built before the peak is measured
+    m = MatrixGF(GF1024, np.random.default_rng(15).integers(0, GF1024.q, shape))
+    tracemalloc.start()
+    try:
+        _, pivots = m.rref()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pivots) == min(shape)
+    assert peak <= 4.5 * m.array().nbytes + 8 * GF1024.q * min(shape)
+
+
 @pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF9, GF16, GF_TOP], ids=repr)
 def test_results_are_read_only_c_contiguous_int64(spec):
     rng = np.random.default_rng(spec.q + 1)
@@ -328,6 +353,23 @@ def test_nullspace_largest_admitted_basis(spec, rows):
     assert peak < 10 << 20 and elapsed < 0.5
 
 
+def test_nullspace_refuses_before_eliminating():
+    # a 1 x 2^21 row: its basis has at least cols - rows rows, so it is refused
+    # without the elimination's copies of the 16 MiB row
+    cols = 1 << 21
+    m = MatrixGF(GF3, np.ones((1, cols), dtype=np.int64))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"{cols - 1} x {cols} entries exceeds the cap"):
+            m.nullspace()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and elapsed < 0.01
+
+
 def test_nullspace_smallest_refused_basis():
     # one column more than the widest admitted row: refused before the basis
     cols = at_the_nullspace_cap(1, 1)
@@ -374,6 +416,40 @@ def test_matmul_row_blocks_match_one_block(monkeypatch):
             a = random_matrix(spec, rng.randrange(1, 12), rng.randrange(1, 6), rng)
             b = random_matrix(spec, a.shape[1], rng.randrange(1, 6), rng)
             assert np.array_equal((a @ b).array(), _unblocked_product(a, b))
+
+
+def scalar_product(spec, a, b):
+    """a @ b, as arrays, folded entry by entry on the scalar ops."""
+    return [[functools.reduce(spec.add, map(spec.mul, row, col), 0) for col in b.T.tolist()]
+            for row in a.tolist()]
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, None])
+@pytest.mark.parametrize("spec", [GF2, GF3, FieldSpec(5), GF_TOP], ids=repr)
+def test_prime_matmul_inner_slices_match_scalar_fold(spec, step, monkeypatch):
+    # a bound that admits `step` terms per slice (None: the real bound), over
+    # inner dimensions from 0 to 7, with random entries and with every entry
+    # p - 1, whose products are the largest
+    p = spec.p
+    if step:
+        monkeypatch.setattr(matrix, "_INT64_BOUND", 1 + p + step * (p - 1) ** 2)
+    rng = np.random.default_rng(p + (step or 0))
+    for inner in range(8):
+        for a, b in ((rng.integers(0, p, (3, inner)), rng.integers(0, p, (inner, 4))),
+                     (np.full((3, inner), p - 1), np.full((inner, 4), p - 1))):
+            got = MatrixGF(spec, a) @ MatrixGF(spec, b)
+            assert got.shape == (3, 4)
+            assert got.to_lists() == scalar_product(spec, a, b)
+
+
+def test_prime_matmul_of_the_largest_entries():
+    # GF(1048573) with every entry p - 1 over an inner dimension of 4096: one
+    # slice under the real bound, whose sums of 4096 (p - 1)^2 ~ 4.5e15
+    # would overflow any accumulator narrower than int64
+    p = GF_TOP.p
+    a = MatrixGF(GF_TOP, np.full((2, 4096), p - 1))
+    b = MatrixGF(GF_TOP, np.full((4096, 3), p - 1))
+    assert (a @ b).to_lists() == [[4096 % p] * 3] * 2
 
 
 def test_matmul_memory_is_bounded():
