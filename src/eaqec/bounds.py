@@ -19,20 +19,15 @@ import math
 from math import isqrt
 
 from ._record import Record
-from .errors import BadFamilyParams, DomainError, FieldTooLarge, NoRoot, NotSquare, integer
-from .primes import MAX_FIELD_SIZE, is_prime, prime_power
+from .errors import BadFamilyParams, DomainError, NoRoot, NotSquare, integer
+from .primes import field_size, prime_power
 
 LOG4_3 = math.log(3) / math.log(4)
 
 
 def _checked_q(p: int, m: int) -> int:
     p, m = integer(p, "p", DomainError), integer(m, "m", DomainError, low=1)
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    q = p**m
-    if q > MAX_FIELD_SIZE:
-        raise FieldTooLarge(f"q = {p}^{m} exceeds {MAX_FIELD_SIZE}")
-    return q
+    return field_size(p, m, DomainError)
 
 
 def amds_length_bound(p: int, m: int) -> int:
@@ -58,14 +53,8 @@ def genus2_points(p: int, m: int) -> int:
             return 20
         return q + 1 + 4 * isqrt(q)
     f = isqrt(4 * q)
-    special = (f + 1) % p == 0
-    if not special:
-        a = 0
-        while a * a + a + 1 <= q:
-            if q in (a * a + 1, a * a + a + 1, a * a + a + 2):
-                special = True
-                break
-            a += 1
+    # q = a^2 + 1, a^2 + a + 1 or a^2 + a + 2 for some integer a >= 0
+    special = (f + 1) % p == 0 or any(isqrt(n) ** 2 == n for n in (q - 1, 4 * q - 3, 4 * q - 7))
     if not special:
         return q + 1 + 2 * f
     # frac(2*sqrt(q)) > (sqrt(5)-1)/2, decided exactly: with x = 2f-1 the

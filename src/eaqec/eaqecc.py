@@ -122,9 +122,11 @@ def ea_singleton_defect(code: EaqeccParams) -> Defect:
     return Defect(h, label)
 
 
-def _rank_route(left: MatrixGF, right: MatrixGF) -> int:
-    """c as the rank of the Gram matrix left @ right: one elimination."""
-    return left.mul(right).rank()
+def _rank_route(h1: MatrixGF, h2: MatrixGF) -> int:
+    """c as the rank of the Gram matrix h1 @ h2.T: one elimination, refused
+    before the transpose and the product when it would exceed its cap."""
+    h1._check_elimination(h1.rows, h2.rows)
+    return h1.mul(h2.transpose()).rank()
 
 
 def _dimension_route(dual_gen: MatrixGF, gen: MatrixGF) -> int:
@@ -157,7 +159,7 @@ def css_entanglement(c1: ClassicalCode, c2: ClassicalCode) -> int:
         raise FieldMismatch(f"{c1.spec!r} vs {c2.spec!r}")
     if c1.n != c2.n:
         raise LengthMismatch(f"code lengths differ: {c1.n} vs {c2.n}")
-    return _agree(_rank_route(c1.H, c2.H.transpose()), _dimension_route(c2.H, c1.G))
+    return _agree(_rank_route(c1.H, c2.H), _dimension_route(c2.H, c1.G))
 
 
 def _paired(c1: ClassicalCode, c2: ClassicalCode, q: int, provenance: Provenance) -> EaqeccParams:

@@ -69,7 +69,7 @@ from .errors import (
     NotPrime,
     integer,
 )
-from .primes import MAX_FIELD_SIZE, is_prime, prime_power
+from .primes import MAX_FIELD_SIZE, field_size, prime_power
 
 # Extension fields are capped where their full operation tables stay small:
 # an int64 q x q table is 8 MiB at q = 1024, and building every table of
@@ -99,26 +99,14 @@ class FieldSpec:
 
     def __init__(self, p: int, m: int = 1, modulus=None):
         p, m = integer(p, "p", NotPrime), integer(m, "extension degree", NotIrreducible, low=1)
-        if not is_prime(p):
-            raise NotPrime(f"p must be prime, got {p}")
-        q = p ** m
-        if q > MAX_FIELD_SIZE:
-            raise FieldTooLarge(f"p^m = {q} exceeds the cap {MAX_FIELD_SIZE}")
+        q = field_size(p, m, NotPrime)
         if m > 1 and q > _TABLE_CAP:
-            raise FieldTooLarge(
-                f"extension field p^m = {q} exceeds the table cap {_TABLE_CAP}"
-            )
+            raise FieldTooLarge(f"extension field p^m = {q} exceeds the table cap {_TABLE_CAP}")
         given = modulus is not None
         if not given:
-            if m == 1:
-                modulus = (0, 1)
-            else:
-                try:
-                    modulus = _BUILTIN_MODULI[(p, m)]
-                except KeyError:
-                    raise NoBuiltinModulus(
-                        f"no built-in modulus for GF({p}^{m}); pass one explicitly"
-                    ) from None
+            modulus = (0, 1) if m == 1 else _BUILTIN_MODULI.get((p, m))
+            if modulus is None:
+                raise NoBuiltinModulus(f"no built-in modulus for GF({p}^{m}); pass one explicitly")
         try:
             modulus = tuple(integer(c, "coefficient", TypeError) for c in modulus)
         except TypeError:
@@ -347,7 +335,7 @@ def field_of_order(q: int, modulus=None) -> FieldSpec:
     """Construct GF(q) from the field size, factoring q = p^m."""
     q = integer(q, "q", NotPrime)
     if q > MAX_FIELD_SIZE:
-        raise FieldTooLarge(f"q = {q} exceeds the cap {MAX_FIELD_SIZE}")
+        raise FieldTooLarge(f"q exceeds the cap {MAX_FIELD_SIZE}")
     pm = prime_power(q)
     if pm is None:
         raise NotPrime(f"{q} is not a prime power")

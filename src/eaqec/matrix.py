@@ -121,6 +121,14 @@ class MatrixGF:
         if self.spec != other.spec:
             raise FieldMismatch(f"{self.spec!r} vs {other.spec!r}")
 
+    @staticmethod
+    def _check_elimination(rows: int, cols: int):
+        if rows * cols * min(rows, cols) > _RREF_WORK:
+            raise TooLarge(
+                f"elimination of a {rows} x {cols} matrix exceeds the cap of "
+                f"{_RREF_WORK} entry updates"
+            )
+
     # --- shape operations ---
 
     def transpose(self) -> "MatrixGF":
@@ -188,11 +196,7 @@ class MatrixGF:
         returned as the echelon matrix.
         """
         rows, cols = self.rows, self.cols
-        if rows * cols * min(rows, cols) > _RREF_WORK:
-            raise TooLarge(
-                f"elimination of a {rows} x {cols} matrix exceeds the cap of "
-                f"{_RREF_WORK} entry updates"
-            )
+        self._check_elimination(rows, cols)
         spec = self.spec
         a = self._a.copy()
         pivots = []

@@ -1,12 +1,15 @@
 """Integer helpers for field sizes: primality, prime-power factoring, the cap.
 
-A leaf module with no imports, so that the parameter-only layers (bounds,
-eaqecc) can check alphabet sizes without loading numpy.  Both tests run in
-time polynomial in the bit length of q, so a huge alphabet read from the
-command line is decided at once.
+Imports no numpy, so the parameter-only layers (bounds, eaqecc) check sizes
+without it.  field_size admits every GF(p^m): it refuses p above the cap
+untested, and m with 2^m above it before any power.  prime_power has no cap:
+it takes an integer root per exponent up to the bit length of q, so an
+alphabet of 4,000 digits read from the command line takes seconds.
 """
 
 from __future__ import annotations
+
+from .errors import FieldTooLarge
 
 MAX_FIELD_SIZE = 1 << 20
 
@@ -66,3 +69,15 @@ def prime_power(q: int) -> tuple[int, int] | None:
         if p**m == q and is_prime(p):
             return (p, m)
     return None
+
+
+def field_size(p: int, m: int, error: type[Exception]) -> int:
+    """p^m for integers p, m >= 1: FieldTooLarge above MAX_FIELD_SIZE, and
+    error(...) for a p at most the cap that is not prime, tested first."""
+    if p > MAX_FIELD_SIZE:
+        raise FieldTooLarge(f"p exceeds the cap {MAX_FIELD_SIZE}")
+    if not is_prime(p):
+        raise error(f"p must be prime, got {p}")
+    if m >= MAX_FIELD_SIZE.bit_length() or p**m > MAX_FIELD_SIZE:
+        raise FieldTooLarge(f"GF({p}^m) exceeds the cap {MAX_FIELD_SIZE}")
+    return p**m

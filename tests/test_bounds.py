@@ -33,7 +33,7 @@ from eaqec.errors import (
     NoRoot,
     NotSquare,
 )
-from eaqec.gf import prime_power
+from eaqec.primes import prime_power
 
 # exact genus-2 maxima for small q
 GENUS2_TRUTH = {
@@ -46,6 +46,7 @@ GENUS2_TRUTH = {
     (3, 2): 20,
     (11, 1): 24,
     (13, 1): 26,
+    (17, 1): 32,  # q = 4^2 + 1 is special
 }
 
 

@@ -1,8 +1,11 @@
 """Entanglement-assisted constructions: CSS-type pairs and conjugate pairing."""
 
 import random
+import time
+import tracemalloc
 from functools import reduce
 from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -25,6 +28,7 @@ from eaqec.errors import (
     FieldMismatch,
     LengthMismatch,
     ParseError,
+    TooLarge,
 )
 from eaqec.gf import FieldSpec
 from eaqec.matrix import MatrixGF
@@ -302,6 +306,25 @@ class TestTwoRoutes:
         hermitian_entanglement(code, 3)
         r = code.n - code.k
         assert sorted(shapes) == sorted([(r, r), (r + code.k, code.n)])
+
+
+@pytest.mark.parametrize("spec", [GF4, GF9], ids=["q4", "q9"])
+def test_oversized_gram_matrix_is_refused_before_it_is_formed(spec):
+    # two [1024, 1] codes: H1 @ H2.T is 1023 x 1023, past the elimination cap
+    rng = random.Random(spec.q)
+    c1, c2 = (random_code(spec, 1024, 1, rng) for _ in range(2))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="1023 x 1023 matrix exceeds the cap"):
+            css_entanglement(c1, c2)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.01 and peak < 1 << 20
+    with pytest.raises(TooLarge):
+        hermitian_entanglement(c1, isqrt(spec.q))
 
 
 class TestDefect:

@@ -19,8 +19,8 @@ from eaqec.errors import (
     NotIrreducible,
     NotPrime,
 )
-from eaqec.gf import FieldSpec, field_of_order, is_prime, prime_power
-from eaqec.primes import MAX_FIELD_SIZE
+from eaqec.gf import FieldSpec, field_of_order
+from eaqec.primes import MAX_FIELD_SIZE, is_prime, prime_power
 
 SMALL_SPECS = [
     FieldSpec(2, 1),
@@ -228,6 +228,12 @@ def test_constructor_refuses_non_integers():
     assert FieldSpec(3, 1, (np.int64(2), np.uint8(1))) == FieldSpec(3, 1)
 
 
+def test_modulus_coefficients_lie_in_the_prime_field():
+    for p, m, modulus in [(2, 2, (1, 2, 1)), (3, 2, (-1, 0, 1)), (3, 1, (3, 1))]:
+        with pytest.raises(NotIrreducible, match=r"lie in \[0, p\)"):
+            FieldSpec(p, m, modulus)
+
+
 def monic(p, deg):
     """Every monic polynomial of degree deg over GF(p), lowest degree first."""
     return [low + (1,) for low in itertools.product(range(p), repeat=deg)]
@@ -313,8 +319,8 @@ def test_field_of_order_takes_integers_only():
 
 
 def test_field_of_order_checks_the_cap_before_factoring(monkeypatch):
-    # factoring a huge q by trial division takes sqrt(q) steps; the cap
-    # must refuse it first
+    # factoring tries an integer root per exponent up to the bit length of q,
+    # seconds for a q of thousands of digits; the cap must refuse it first
     def no_factoring(q):
         raise AssertionError(f"prime_power({q}) called above the cap")
 

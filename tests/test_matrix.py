@@ -532,6 +532,12 @@ def test_stack_and_mismatches():
         a @ MatrixGF(GF3, [[1], [1]])
 
 
+def test_constructor_refuses_arrays_of_other_dimensions():
+    for shape in [(2, 2, 2), (1, 1, 1, 1)]:
+        with pytest.raises(DimensionMismatch, match=f"ndim={len(shape)}"):
+            MatrixGF(GF2, np.zeros(shape, dtype=np.int64))
+
+
 def test_intersection_dim_exhaustive_oracle():
     rng = random.Random(11)
     for spec in (GF2, GF3, GF4):

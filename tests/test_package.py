@@ -142,6 +142,28 @@ def test_one_integer_rule():
     assert bool_checks(SRC) == ["errors.integer"]
 
 
+def name_reads(src, name):
+    """'module.name' of the top-level definition around each read of a bare
+    name (a call, or a reference), or 'module.<module>' outside any."""
+    found = set()
+    for path in src.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            where = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+                    found.add(f"{path.stem}.{where}")
+    return found
+
+
+def test_one_field_admission_rule():
+    # primes.field_size admits every GF(p^m): only primes tests primality,
+    # and only field_of_order reads the cap besides it, to refuse a q
+    # before factoring it
+    assert {site.split(".")[0] for site in name_reads(SRC, "is_prime")} == {"primes"}
+    readers = name_reads(SRC, "MAX_FIELD_SIZE")
+    assert {s for s in readers if not s.startswith("primes.")} == {"gf.field_of_order"}
+
+
 def record_fields(src):
     """{'module.Class.field': field} of every annotated field of a public class."""
     found = {}
@@ -228,6 +250,18 @@ def test_record_construction():
         EaqeccParams(q=6, n=4, k=2, d=Distance.exact(2), c=0)
     spec = EnsembleSpec(n1=3, k1=1, n2=4, k2=2)
     assert (spec.c1, spec.c2) == (2, 2)
+
+
+def test_record_refusals():
+    with pytest.raises(TypeError, match="takes 3 fields, got 4"):
+        Mismatch("n", 100, 101, 102)
+    record = Distance.exact(3)
+    with pytest.raises(AttributeError, match="cannot delete field 'value'"):
+        del record.value
+    assert record.value == 3
+    # another type is not equal, whatever its fields
+    assert record.__eq__(("exact", 3)) is NotImplemented
+    assert record != ("exact", 3) and record != Defect(3, "exact")
 
 
 def test_provenance_is_left_out_of_equality():

@@ -4,7 +4,10 @@ import time
 
 import pytest
 
-from eaqec.primes import _MR_LIMIT, is_prime, prime_power
+from eaqec.bounds import amds_length_bound
+from eaqec.errors import DomainError, FieldTooLarge, NotPrime
+from eaqec.gf import FieldSpec, field_of_order
+from eaqec.primes import _MR_LIMIT, MAX_FIELD_SIZE, field_size, is_prime, prime_power
 
 ORACLE_LIMIT = 10**5
 
@@ -73,3 +76,37 @@ def test_refuses_beyond_the_exact_range():
     # an even number or a power of a small prime is still decided
     assert not is_prime(2 * _MR_LIMIT)
     assert prime_power(2**100) == (2, 100)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FieldSpec(3, 10**7),
+        lambda: FieldSpec(2, 10**6),
+        lambda: FieldSpec(10**30 + 1, 1),
+        lambda: field_of_order(10**5000),
+        lambda: amds_length_bound(3, 10**7),
+        lambda: amds_length_bound(10**30 + 1, 1),
+    ],
+    ids=["FieldSpec-m", "FieldSpec-m-digits", "FieldSpec-p", "field_of_order",
+         "amds-m", "amds-p"],
+)
+def test_oversized_fields_are_refused_at_once(build):
+    # decided from p and m: no power of p is taken, no p above the cap is
+    # tested for primality, and no message prints a size above the cap
+    start = time.perf_counter()
+    with pytest.raises(FieldTooLarge, match="exceeds the cap"):
+        build()
+    assert time.perf_counter() - start < 0.01
+
+
+def test_field_size():
+    assert field_size(2, 20, NotPrime) == MAX_FIELD_SIZE
+    assert field_size(MAX_FIELD_SIZE - 3, 1, NotPrime) == MAX_FIELD_SIZE - 3
+    # primality first, then size, for every p up to the cap
+    for p, m in [(4, 1), (1, 1), (0, 3), (-7, 1), (4, 21), (MAX_FIELD_SIZE, 1)]:
+        with pytest.raises(DomainError, match=f"p must be prime, got {p}$"):
+            field_size(p, m, DomainError)
+    for p, m in [(2, 21), (3, 13), (1031, 2), (MAX_FIELD_SIZE + 1, 1), (2**89 - 1, 1)]:
+        with pytest.raises(FieldTooLarge):
+            field_size(p, m, DomainError)
