@@ -5,9 +5,10 @@ One pairing rule: classical codes C1, C2 of length n over GF(q) give
 pre-shared entangled pairs.  It has two entry points: css_construct(C1, C2)
 over GF(q), and hermitian_construct(C, q0), which pairs C over GF(q0^2) with
 its conjugate codes.conjugate(C) and gives [[n, 2k - n + c, >= d; c]]_{q0}.
-c is computed along two independent routes, a Gram-matrix rank and a
-dual-intersection dimension, and a construction refuses to return if they
-disagree.  Constructed distances are stored as design lower bounds.
+c is computed along two independent routes on disjoint matrices, the
+parity-check Gram rank(H1 @ H2.T) and the generator Gram n - k1 - k2 +
+rank(G1 @ G2.T), and a construction refuses to return if they disagree.
+Constructed distances are stored as design lower bounds.
 
 A constructed code records its last step as Provenance(op, args), op the CLI
 subcommand: "css" (c1, c2), "hermitian" (code, q0), and from eaqec.concat
@@ -33,7 +34,7 @@ from .errors import (
     ParseError,
     integer,
 )
-from .primes import prime_power
+from .primes import MAX_ALPHABET_BITS, prime_power
 
 if TYPE_CHECKING:
     from .codes import ClassicalCode
@@ -66,6 +67,8 @@ class EaqeccParams(Record, uncompared=("provenance",)):
         values = self.__dict__
         for name in ("q", "n", "k", "c"):
             values[name] = integer(values[name], name)
+        if self.q.bit_length() > MAX_ALPHABET_BITS:
+            raise ValueError(f"alphabet size exceeds the cap of {MAX_ALPHABET_BITS} bits")
         if prime_power(self.q) is None:
             raise ValueError(f"alphabet size {self.q} is not a prime power")
         if self.n < 1:
@@ -123,43 +126,39 @@ def ea_singleton_defect(code: EaqeccParams) -> Defect:
 
 
 def _rank_route(h1: MatrixGF, h2: MatrixGF) -> int:
-    """c as the rank of the Gram matrix h1 @ h2.T: one elimination, refused
-    before the transpose and the product when it would exceed its cap."""
-    h1._check_elimination(h1.rows, h2.rows)
+    """c as the rank of the parity-check Gram h1 @ h2.T: one elimination."""
     return h1.mul(h2.transpose()).rank()
 
 
-def _dimension_route(dual_gen: MatrixGF, gen: MatrixGF) -> int:
-    """c as dim(D) - dim(D ∩ C), D and C the row spaces of the two matrices.
-
-    Both come from codes and are full rank (a parity check or its conjugate,
-    and a generator), so their ranks are their row counts and
-    dim(D ∩ C) = dim(D) + dim(C) - rank(D over C): one elimination, of the
-    stacked matrix.
-    """
-    return dual_gen.stack(gen).rank() - gen.rows
+def _dimension_route(g1: MatrixGF, g2: MatrixGF) -> int:
+    """c as n - k2 - dim(C1 ∩ C2-dual), where dim(C1 ∩ C2-dual) is
+    k1 - rank(g1 @ g2.T): x -> x @ g2.T maps C1 onto the rows of the k1 x k2
+    generator Gram with kernel C1 ∩ C2-dual.  One elimination, of the Gram."""
+    return g1.cols - g2.rows - g1.rows + g1.mul(g2.transpose()).rank()
 
 
-def _agree(by_rank: int, by_dim: int) -> int:
-    if by_rank != by_dim:
-        raise EntanglementFormulaMismatch(
-            f"rank route gave {by_rank}, dimension route gave {by_dim}"
-        )
-    return by_rank
+def _check_grams(c1: ClassicalCode, c2: ClassicalCode):
+    """Refuse either route's Gram, r1 x r2 or k1 x k2, past the elimination cap."""
+    c1.G._check_elimination(c1.n - c1.k, c2.n - c2.k)
+    c1.G._check_elimination(c1.k, c2.k)
 
 
 def css_entanglement(c1: ClassicalCode, c2: ClassicalCode) -> int:
     """Entangled-pair count for the CSS-type pairing of two classical codes.
 
-    Computed both as rank(H1 @ H2.T) and as dim(C2-dual) minus
-    dim(C2-dual ∩ C1); the two must agree.  Each route eliminates one
-    matrix of its own, two eliminations in all.
+    Computed both as rank(H1 @ H2.T) and as n - k1 - k2 + rank(G1 @ G2.T);
+    the two must agree.  Each route eliminates its own Gram, and both Grams
+    are checked against the elimination cap before either is formed.
     """
     if c1.spec != c2.spec:
         raise FieldMismatch(f"{c1.spec!r} vs {c2.spec!r}")
     if c1.n != c2.n:
         raise LengthMismatch(f"code lengths differ: {c1.n} vs {c2.n}")
-    return _agree(_rank_route(c1.H, c2.H), _dimension_route(c2.H, c1.G))
+    _check_grams(c1, c2)
+    rank, dim = _rank_route(c1.H, c2.H), _dimension_route(c1.G, c2.G)
+    if rank != dim:
+        raise EntanglementFormulaMismatch(f"rank route gave {rank}, dimension route gave {dim}")
+    return rank
 
 
 def _paired(c1: ClassicalCode, c2: ClassicalCode, q: int, provenance: Provenance) -> EaqeccParams:
@@ -177,10 +176,12 @@ def css_construct(c1: ClassicalCode, c2: ClassicalCode) -> EaqeccParams:
 
 
 def _base(code: ClassicalCode, q0) -> int:
-    """q0 as a plain int, when code's field is GF(q0^2)."""
+    """q0 as a plain int, when code's field is GF(q0^2); both Grams of the
+    conjugate pairing (the code's shapes) are checked before it is built."""
     q0 = integer(q0, "base field size", FieldMismatch)
     if not (q0 >= 2 and q0 * q0 == code.spec.q):
         raise FieldMismatch(f"code field {code.spec!r} is not GF({q0}^2)")
+    _check_grams(code, code)
     return q0
 
 

@@ -117,10 +117,6 @@ class MatrixGF:
     def __repr__(self):
         return f"MatrixGF({self.spec!r}, {self.to_lists()})"
 
-    def _check_field(self, other: "MatrixGF"):
-        if self.spec != other.spec:
-            raise FieldMismatch(f"{self.spec!r} vs {other.spec!r}")
-
     @staticmethod
     def _check_elimination(rows: int, cols: int):
         if rows * cols * min(rows, cols) > _RREF_WORK:
@@ -138,16 +134,11 @@ class MatrixGF:
         """Entrywise conjugation of a matrix over GF(r^2) (gf.FieldSpec.vconj)."""
         return MatrixGF._wrap(self.spec, self.spec.vconj(self._a))
 
-    def stack(self, other: "MatrixGF") -> "MatrixGF":
-        self._check_field(other)
-        if self.cols != other.cols:
-            raise DimensionMismatch(f"column counts differ: {self.cols} vs {other.cols}")
-        return MatrixGF._wrap(self.spec, np.concatenate((self._a, other._a)))
-
     # --- arithmetic ---
 
     def mul(self, other: "MatrixGF") -> "MatrixGF":
-        self._check_field(other)
+        if self.spec != other.spec:
+            raise FieldMismatch(f"{self.spec!r} vs {other.spec!r}")
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
@@ -156,11 +147,13 @@ class MatrixGF:
         if spec.m == 1:
             # one integer product per slice of the inner dimension, reduced
             # once: a slice of s terms sums to at most s (p - 1)^2, plus the
-            # reduced sum before it (below p), which stays below _INT64_BOUND
+            # reduced sum before it (below p), which stays below _INT64_BOUND;
+            # the first slice's product (zeros for an empty one) is the output
             p = spec.p
             step = max(1, (_INT64_BOUND - 1 - p) // (p - 1) ** 2)
-            out = np.zeros((self.rows, other.cols), dtype=np.int64)
-            for k in range(0, self.cols, step):
+            out = a[:, :step] @ b[:step]
+            out %= p
+            for k in range(step, self.cols, step):
                 out += a[:, k : k + step] @ b[k : k + step]
                 out %= p
             return MatrixGF._wrap(spec, out)

@@ -292,6 +292,13 @@ class TestConstructions:
         assert code == 2
         assert err.startswith("error: ParseError") and "cannot decide" in err
 
+    def test_alphabet_above_the_cap_exits_2(self, capsys):
+        code, _, err = run(
+            capsys, ["concat", "--inner", "4,2,2,0,2", "--outer", f"5,3,2,1,{10**4000 + 1}"]
+        )
+        assert code == 2
+        assert err.startswith("error: ParseError") and "exceeds the cap of 1024 bits" in err
+
     @pytest.mark.parametrize("k1", ["30000000", "100000000000"])
     def test_alphabet_refused_without_the_power(self, k1):
         # q^k1 would have millions of digits (or 10^11 bits); 2^k1 > 5 decides it

@@ -300,31 +300,44 @@ class TestTwoRoutes:
 
         monkeypatch.setattr(MatrixGF, "rref", counting)
         css_entanglement(c1, c2)
-        # the Gram matrix H1 @ H2.T, and H2 stacked over G1
-        assert sorted(shapes) == sorted([(c1.n - c1.k, c2.n - c2.k), (c2.n - c2.k + c1.k, c1.n)])
+        # the parity-check Gram H1 @ H2.T and the generator Gram G1 @ G2.T
+        assert sorted(shapes) == sorted([(c1.n - c1.k, c2.n - c2.k), (c1.k, c2.k)])
         shapes.clear()
         hermitian_entanglement(code, 3)
         r = code.n - code.k
-        assert sorted(shapes) == sorted([(r, r), (r + code.k, code.n)])
+        assert sorted(shapes) == sorted([(r, r), (code.k, code.k)])
 
 
 @pytest.mark.parametrize("spec", [GF4, GF9], ids=["q4", "q9"])
 def test_oversized_gram_matrix_is_refused_before_it_is_formed(spec):
-    # two [1024, 1] codes: H1 @ H2.T is 1023 x 1023, past the elimination cap
+    # [1024, 1] codes: H1 @ H2.T is 1023 x 1023, past the elimination cap;
+    # [1024, 1023] codes: G1 @ G2.T is.  Each refusal comes before any
+    # product, transpose or conjugate of the codes' 8 MiB matrices
     rng = random.Random(spec.q)
-    c1, c2 = (random_code(spec, 1024, 1, rng) for _ in range(2))
-    tracemalloc.start()
-    try:
-        start = time.perf_counter()
-        with pytest.raises(TooLarge, match="1023 x 1023 matrix exceeds the cap"):
-            css_entanglement(c1, c2)
-        elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert elapsed < 0.01 and peak < 1 << 20
-    with pytest.raises(TooLarge):
-        hermitian_entanglement(c1, isqrt(spec.q))
+    thin = [random_code(spec, 1024, 1, rng) for _ in range(2)]
+    wide = [
+        ClassicalCode.from_parity_check(
+            MatrixGF(spec, [[1] + [rng.randrange(spec.q) for _ in range(1023)]])
+        )
+        for _ in range(2)
+    ]
+    base = isqrt(spec.q)
+    for count in (
+        lambda: css_entanglement(*thin),
+        lambda: css_entanglement(*wide),
+        lambda: hermitian_entanglement(thin[0], base),
+        lambda: hermitian_entanglement(wide[0], base),
+    ):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(TooLarge, match="1023 x 1023 matrix exceeds the cap"):
+                count()
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.01 and peak < 1 << 20
 
 
 class TestDefect:
@@ -378,6 +391,18 @@ class TestParseFormat:
         ):
             with pytest.raises(ParseError):
                 parse_params(bad)
+
+    def test_alphabet_above_the_cap_is_refused_before_factoring(self):
+        # a 4,001-digit alphabet is refused by its bit length, before any root
+        text = "1,1,1,0," + str(10**4000 + 1)
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="exceeds the cap of 1024 bits"):
+            parse_params(text)
+        assert time.perf_counter() - start < 0.01
+        one = Distance.exact(1)
+        assert EaqeccParams(q=2**1023, n=1, k=1, d=one, c=0).q == 2**1023
+        with pytest.raises(ValueError, match="exceeds the cap of 1024 bits"):
+            EaqeccParams(q=2**1024, n=1, k=1, d=one, c=0)
 
     def test_net_marker_and_unprinted_c_need_a_full_tuple(self):
         for bad in ("3,2*,2,1,2", "3,2,2,?,2", "3,2*,2,?,2"):
