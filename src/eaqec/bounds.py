@@ -53,8 +53,9 @@ def genus2_points(p: int, m: int) -> int:
             return 20
         return q + 1 + 4 * isqrt(q)
     f = isqrt(4 * q)
-    # q = a^2 + 1, a^2 + a + 1 or a^2 + a + 2 for some integer a >= 0
-    special = (f + 1) % p == 0 or any(isqrt(n) ** 2 == n for n in (q - 1, 4 * q - 3, 4 * q - 7))
+    # q is special (Serre 1983; Howe, Nart and Ritzenthaler 2009) when p divides
+    # f, or q = a^2 + 1, a^2 + a + 1 or a^2 + a + 2 for some integer a >= 0
+    special = f % p == 0 or any(isqrt(n) ** 2 == n for n in (q - 1, 4 * q - 3, 4 * q - 7))
     if not special:
         return q + 1 + 2 * f
     # frac(2*sqrt(q)) > (sqrt(5)-1)/2, decided exactly: with x = 2f-1 the

@@ -15,6 +15,8 @@ blocks lies in the sample code with probability 0 or exactly
 * phi_series_value: the exact rational sum over t of the per-class
   probability times Psi_t; sits between any exhaustive ensemble average
   and phi_upper_bound.
+* nt_w_bruteforce: the same counts by visiting every vector, keyed from its
+  own coordinates, two keys to each bincount element.
 * ensemble_exhaustive: verifies the per-vector syndrome probabilities as
   exact rationals at tiny sizes, counting parity columns for a block of
   information parts at a time; every column and vector is visited, so the
@@ -48,8 +50,9 @@ _MAX_COLUMN_WORK_BITS = 27  # q^k * q^k * k column products there, all the work 
 # GF(4) and GF(4^k1), built once: the inner limit k1 <= 2 makes them the only two
 _FIELDS: dict[int, FieldSpec] = {}
 # nt_w_bruteforce keys and bincounts this many vectors at a time (a power of
-# two): a run of high index parts, each with every low part of the whole
-# blocks that fit here.  Its arrays hold a few times this many bytes.
+# two), two to a bincount element: a run of high index parts, each with every
+# low part of the whole blocks that fit here.  Its tracemalloc peak is under
+# 1,572,864 bytes (1.5 MiB) at every admitted size: 1,246,682 when n1 >= 9.
 # _syndrome_classes takes as many information parts at a time as fit here.
 _CHUNK = 1 << 16
 
@@ -148,26 +151,30 @@ def nt_w_bruteforce(n1: int, n2: int) -> np.ndarray:
     counted from its own coordinates; psi_t is never consulted.
 
     Each vector is its index in [0, 4^(n1*n2)), 2 bits per coordinate, and
-    its bincount key is t * (ne + 1) + w (_block_keys).  The index splits at
-    a block boundary: the low part holds the most whole blocks, j, whose
-    2^(2*n1*j) indices fit in _CHUNK, and the high part the other n2 - j.
-    Both t and w are sums over blocks, so a vector's key is the sum of its
-    two parts' keys; a split inside a block would break t.  The low part's
-    keys are computed once.  Each chunk computes the keys of a run of
-    _CHUNK / 4^(n1*j) high values, writes the key of every one of its
-    vectors as high key + low key in one broadcast add, and bincounts them,
-    so all 4^ne keys are still written out and counted; the low and high
-    histograms are never multiplied, which is psi_t's own product formula.
-    When no whole block fits (n1 >= 9 at 2^16) the low part is one empty
-    index with key 0 and each chunk is _CHUNK indices keyed directly.
+    its key is t * (ne + 1) + w (_block_keys), below the table size base =
+    (n2 + 1) * (ne + 1).  The index splits at a block boundary: the low part
+    holds the most whole blocks, j, whose 2^(2*n1*j) indices fit in _CHUNK,
+    and the high part the other n2 - j.  Both t and w are sums over blocks,
+    so a vector's key is the sum of its two parts' keys; a split inside a
+    block would break t.  The low part's keys k are computed and paired
+    once, k(2i) + base * k(2i+1).  Each chunk keys a run of _CHUNK / 4^(n1*j) high values h and
+    writes h * (base + 1) + pair in one broadcast add: (h + k(2i)) + base *
+    (h + k(2i+1)) holds the keys of vectors (h, 2i) and (h, 2i+1), each
+    below base, so no half carries into the other.  One bincount of base^2
+    bins counts both, and the base x base counts fold into the table by
+    column sums (first vectors) plus row sums (second).  So all 4^ne keys
+    are written out and counted; the low and high histograms are never
+    multiplied, which is psi_t's own product formula.  When no whole block
+    fits (n1 >= 9 at 2^16) the low part is one empty index with key 0 and
+    nothing to pair: each chunk is _CHUNK indices keyed directly, one key
+    per bincount element.
 
-    Keys stay in uint8: the cap of 2^24 vectors (_MAX_ENSEMBLE_BITS) bounds
-    ne by 12, so a key is at most 12*13 + 12 = 168 < 256, and so is each
-    part's key.  Memory is a few arrays of at most _CHUNK entries, whatever
-    the size: the low part's uint32 indices and scratch while its keys are
-    computed, then the uint8 low keys and chunk keys, the high run's uint32
-    indices and scratch, and bincount's own intp copy of a chunk (8 bytes a
-    key, the largest).
+    The cap of 2^24 vectors (_MAX_ENSEMBLE_BITS) bounds ne by 12, so base
+    <= 13 * 13: keys fit uint8 and pairs, below 28,561, uint16.  Per chunk
+    memory is 2^15 uint16 keys (2^16 uint8 unpaired), their intp copy for
+    bincount (8 bytes a key, the largest; made once, as a fresh one beside
+    each chunk's counts made the allocator return and refault it), and
+    base^2 int64 counts (223 KiB at most) twice, the total and bincount's.
     """
     n1, n2 = integer(n1, "n1", DomainError, low=1), integer(n2, "n2", DomainError, low=1)
     ne = n1 * n2
@@ -175,23 +182,33 @@ def nt_w_bruteforce(n1: int, n2: int) -> np.ndarray:
         raise TooLarge(f"4^{ne} vectors exceed the enumeration cap")
     import numpy as np
 
-    width = ne + 1
+    width, base = ne + 1, (n2 + 1) * (ne + 1)
     j = min(n2, (_CHUNK.bit_length() - 1) // (2 * n1))
     lows, highs = 4 ** (n1 * j), 4 ** (n1 * (n2 - j))
     low_keys = _block_keys(np.arange(lows, dtype=np.uint32), n1, j, width,
                            np.empty(lows, dtype=np.uint32))
+    step, size = 1, base
+    if lows > 1:  # element i carries the keys of low parts 2i and 2i + 1
+        low_keys = np.multiply(low_keys[1::2], base, dtype=np.uint16) + low_keys[0::2]
+        step, size = base + 1, base * base
     run = min(_CHUNK // lows, highs)
     x = np.arange(run, dtype=np.uint32)
     marks = np.empty(run, dtype=np.uint32)
-    keys = np.empty(run * lows, dtype=np.uint8)
-    rows = keys.reshape(run, lows)
-    table = np.zeros((n2 + 1) * width, dtype=np.int64)
+    keys = np.empty(run * low_keys.size, dtype=low_keys.dtype)
+    rows = keys.reshape(run, low_keys.size)
+    wide = np.empty(keys.size, dtype=np.intp)  # bincount's input, allocated once
+    counts = np.zeros(size, dtype=np.int64)
     for _ in range(0, highs, run):
-        high_keys = _block_keys(x, n1, n2 - j, width, marks)
+        high_keys = np.multiply(_block_keys(x, n1, n2 - j, width, marks), step, dtype=keys.dtype)
         np.add(high_keys[:, None], low_keys, out=rows)
-        table += np.bincount(keys, minlength=table.size)
+        del high_keys  # freed before the next chunk's: one array fewer at the peak
+        np.copyto(wide, keys)
+        counts += np.bincount(wide, minlength=counts.size)
         x += run
-    return table.reshape(n2 + 1, width)
+    if step > 1:  # each vector's key, first or second of its pair
+        counts = counts.reshape(base, base)
+        counts = counts.sum(axis=0) + counts.sum(axis=1)
+    return counts.reshape(n2 + 1, width)
 
 
 class EnsembleSpec(Record):

@@ -47,6 +47,10 @@ GENUS2_TRUTH = {
     (11, 1): 24,
     (13, 1): 26,
     (17, 1): 32,  # q = 4^2 + 1 is special
+    # odd m, f = floor(2 sqrt(q)): q is special when p divides f (Serre)
+    (2, 7): 172,  # f = 22, special, frac(2 sqrt(q)) = 0.627 > 0.618: q + 2f
+    (2, 9): 603,  # f = 45, not special: q + 1 + 2f
+    (3, 7): 2372,  # f = 93, special, frac = 0.531 < 0.618: q + 2f - 1
 }
 
 

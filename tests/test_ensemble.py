@@ -233,13 +233,21 @@ class TestBruteforceTable:
     @pytest.mark.parametrize("n1,n2", [(2, 3), (2, 6), (9, 1)])
     def test_every_vector_is_counted(self, monkeypatch, n1, n2):
         # each of the 4^ne keys is written out and bincounted, a chunk at a
-        # time; the low and high parts' histograms are never combined
-        sizes = []
+        # time: two to an element into base^2 bins, or one into base bins
+        # when nothing is paired ((9, 1)); the low and high parts' histograms
+        # are never combined
+        base = (n2 + 1) * (n1 * n2 + 1)
+        counted = []
         bincount = np.bincount
-        monkeypatch.setattr(np, "bincount", lambda a, **kw: sizes.append(a.size) or bincount(a, **kw))
+
+        def spy(a, **kw):
+            counted.append(a.size * {base: 1, base * base: 2}[kw["minlength"]])
+            return bincount(a, **kw)
+
+        monkeypatch.setattr(np, "bincount", spy)
         nt_w_bruteforce(n1, n2)
-        assert sum(sizes) == 4 ** (n1 * n2)
-        assert max(sizes) == min(ensemble._CHUNK, 4 ** (n1 * n2))
+        assert sum(counted) == 4 ** (n1 * n2)
+        assert max(counted) == min(ensemble._CHUNK, 4 ** (n1 * n2))
 
     @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 2), (3, 2), (2, 3), (1, 5), (3, 3)])
     def test_matches_psi(self, n1, n2):
@@ -260,6 +268,35 @@ class TestBruteforceTable:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+    @pytest.mark.parametrize("n1,n2", [(1, 12), (2, 6), (3, 4), (4, 3), (6, 2), (12, 1)])
+    def test_largest_admitted_sizes(self, n1, n2):
+        # 4^12 vectors, the cap: within the peak stated at _CHUNK (1.2 MiB
+        # measured at (12, 1)) and 0.5 s (0.04-0.08 s measured)
+        assert 2 * n1 * n2 == ensemble._MAX_ENSEMBLE_BITS
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            table = nt_w_bruteforce(n1, n2)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(table.sum()) == 4**12
+        assert peak < 1_572_864 and elapsed < 0.5
+
+    @pytest.mark.parametrize("n1,n2", [(13, 1), (1, 13)])
+    def test_smallest_refused_sizes(self, n1, n2):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(TooLarge, match=r"4\^13 vectors exceed the enumeration cap"):
+                nt_w_bruteforce(n1, n2)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20 and elapsed < 0.01
 
     def test_caps(self):
         with pytest.raises(TooLarge):
